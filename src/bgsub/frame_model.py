@@ -1,13 +1,21 @@
 """Vectorized whole-frame mixture engine.
 
 Holds the per-pixel Gaussian mixtures of an entire frame (or a band of
-rows) in flat numpy arrays and advances all of them in one pass per
-frame. The arithmetic mirrors the scalar operations in :mod:`bgsub.gmm`
-operation for operation, including summation order, tie-breaking and the
-stable rank sort, so that in fixed-alpha mode both paths produce
-bit-identical state. The pdf-scaled rho mode can differ from the scalar
-path by a final unit in the last place because numpy's vectorized exp is
-not guaranteed to round identically to math.exp.
+rows) in numpy arrays and advances all of them in one pass per frame.
+The arithmetic mirrors the scalar operations in :mod:`bgsub.gmm`
+operation for operation, including summation order and tie-breaking, so
+that in fixed-alpha mode both paths produce bit-identical state. The
+pdf-scaled rho mode can differ from the scalar path by a final unit in
+the last place because numpy's vectorized exp is not guaranteed to round
+identically to math.exp.
+
+State is updated in place. Per-pixel slot reads and writes go through
+flat indices (slot * n + pixel) into raveled views, and only for the
+pixels concerned: matched pixels update their matched slot, unmatched
+pixels fill a fresh one and renormalize. The per-pixel rank order is
+restored by a network of adjacent compare-exchange steps that swap only
+on a strictly higher rank, which keeps ties in their slot order exactly
+as the scalar path's stable sort does.
 
 Slots beyond a pixel's live count hold weight exactly 0.0 and never
 influence sums, matching or the background prefix.
@@ -23,10 +31,11 @@ from .gmm import BACKGROUND, FOREGROUND, GAUSS_NORM_3D, PDF_FAITHFUL, ModelParam
 class FrameModel:
     """Mixture state for n_pixels pixels, k slots each.
 
-    Arrays are indexed [slot, pixel] (means have a trailing channel axis)
-    and are kept sorted per pixel by weight/sigma, highest first. The
-    first observe() call seeds every pixel with a single component and
-    classifies everything as background.
+    Arrays are indexed [slot, pixel] (means have a trailing channel axis),
+    stay C-contiguous and are updated in place by observe(). They are kept
+    sorted per pixel by weight/sigma, highest first; equal ranks keep
+    their slot order. The first observe() call seeds every pixel with a
+    single component and classifies everything as background.
     """
 
     def __init__(self, params: ModelParams, n_pixels: int):
@@ -65,110 +74,125 @@ class FrameModel:
         w = self.weights
         mu = self.means
         var = self.variances
-        live = self._slots[:, None] < self.live_count[None, :]
+        count = self.live_count
+        # Flat views: slot j of pixel i sits at j * n + i.
+        w_flat = w.reshape(-1)
+        mu_flat = mu.reshape(-1, 3)
+        var_flat = var.reshape(-1)
+        live = self._slots[:, None] < count
 
-        diff = z[None, :, :] - mu
-        d2 = (
-            diff[:, :, 0] * diff[:, :, 0]
-            + diff[:, :, 1] * diff[:, :, 1]
-            + diff[:, :, 2] * diff[:, :, 2]
-        )
+        # Squared distances, slot by slot through one (n, 3) temporary.
+        d2 = np.empty((k, n))
+        diff = np.empty((n, 3))
+        for j in range(k):
+            np.subtract(z, mu[j], out=diff)
+            diff *= diff
+            np.add(diff[:, 0], diff[:, 1], out=d2[j])
+            d2[j] += diff[:, 2]
         limit = p.d * p.d
-        matched = live & (d2 < limit * var)
-        matched_any = matched.any(axis=0)
-        # argmax picks the first matching slot; garbage where nothing matched,
-        # masked out below.
-        jm = matched.argmax(axis=0)
-        jm_e = jm[None, :]
+        matched = d2 < limit * var
+        matched &= live
+        # jm counts the slots before the first match: the first matching
+        # slot, or k - 1 (unused) where nothing matched.
+        unmatched = ~matched[0]
+        jm = np.zeros(n, dtype=np.int64)
+        for j in range(1, k):
+            jm += unmatched
+            unmatched &= ~matched[j]
+        im = np.flatnonzero(~unmatched)
+        iu = np.flatnonzero(unmatched)
 
-        one_minus_alpha = 1.0 - p.alpha
+        # Unmatched pixels go to the next free slot, else to the lowest-weight
+        # one (first on ties, like the scalar scan), chosen before any decay.
+        count_u = count[iu]
+        jt = count_u.copy()
+        full = np.flatnonzero(count_u == k)
+        jt[full] = np.argmin(w[:, iu[full]], axis=0)
 
-        # Matched pixels: decay every live weight, then reward the match.
-        decay_m = live & matched_any[None, :]
-        w = np.where(decay_m, w * one_minus_alpha, w)
+        # Every pixel decays all its live weights. Dead slots stay 0.0, and
+        # an unmatched pixel's replaced slot is overwritten below.
+        w *= 1.0 - p.alpha
 
-        w_j = np.take_along_axis(w, jm_e, axis=0)[0]
-        mu_j = np.take_along_axis(mu, jm[None, :, None], axis=0)[0]
-        var_j = np.take_along_axis(var, jm_e, axis=0)[0]
-        d2_j = np.take_along_axis(d2, jm_e, axis=0)[0]
-
-        w_j_new = w_j + p.alpha
+        # Matched pixels: reward the match, pull its mean and variance to z.
+        fm = jm[im] * n + im
+        z_m = np.take(z, im, axis=0)
+        w_flat[fm] += p.alpha
+        mu_j = np.take(mu_flat, fm, axis=0)
+        var_j = var_flat[fm]
         if p.rho_mode == PDF_FAITHFUL:
+            d2_j = d2.reshape(-1)[fm]
             pdf_j = GAUSS_NORM_3D * var_j**-1.5 * np.exp(-d2_j / (2.0 * var_j))
             rho_j = np.clip(p.alpha * pdf_j, 0.0, 1.0)
+            rho_col = rho_j[:, None]
         else:
-            rho_j = np.full(n, p.alpha, dtype=np.float64)
-        one_minus_rho = 1.0 - rho_j
-        mu_j_new = one_minus_rho[:, None] * mu_j + rho_j[:, None] * z
-        dn = z - mu_j_new
-        d2n = dn[:, 0] * dn[:, 0] + dn[:, 1] * dn[:, 1] + dn[:, 2] * dn[:, 2]
-        var_j_new = np.maximum(one_minus_rho * var_j + rho_j * d2n, p.var_min)
+            rho_j = rho_col = p.alpha
+        mu_j *= 1.0 - rho_col
+        mu_j += rho_col * z_m
+        # Variance is pulled toward the squared distance from the new mean.
+        dn = np.subtract(z_m, mu_j, out=z_m)
+        dn *= dn
+        d2n = dn[:, 0] + dn[:, 1]
+        d2n += dn[:, 2]
+        d2n *= rho_j
+        var_j *= 1.0 - rho_j
+        var_j += d2n
+        _rows(mu_flat)[fm] = _rows(mu_j)
+        var_flat[fm] = np.maximum(var_j, p.var_min, out=var_j)
 
-        # Scatter updated values back; unmatched pixels get their old values
-        # rewritten, which leaves them untouched.
-        np.put_along_axis(w, jm_e, np.where(matched_any, w_j_new, w_j)[None, :], axis=0)
-        np.put_along_axis(
-            mu, jm[None, :, None], np.where(matched_any[:, None], mu_j_new, mu_j)[None, :, :], axis=0
-        )
-        np.put_along_axis(var, jm_e, np.where(matched_any, var_j_new, var_j)[None, :], axis=0)
+        # Unmatched pixels: fresh component in the target slot, then
+        # renormalize. Dead slots are exactly zero, so the slot-order sum
+        # equals the scalar running total and dividing them leaves zero.
+        ft = jt * n + iu
+        w_flat[ft] = p.w_init
+        mu_flat[ft] = z[iu]
+        var_flat[ft] = p.var_init
+        count[iu[count_u < k]] += 1
+        w_u = w[:, iu]
+        total = w_u[0].copy()
+        for j in range(1, k):
+            total += w_u[j]
+        w_u /= total
+        w[:, iu] = w_u
 
-        # Unmatched pixels: append while there is room, else replace the
-        # lowest-weight slot (first on ties, like the scalar scan).
-        um = ~matched_any
-        has_room = self.live_count < k
-        append_px = um & has_room
-        jrep = np.argmin(w, axis=0)
-        jt = np.where(append_px, self.live_count, jrep)
-        jt_e = jt[None, :]
+        # Stable sort by rank, highest first: an adjacent compare-exchange
+        # (bubble) network that swaps only where the lower slot ranks
+        # strictly higher, so equal ranks keep their order, as with
+        # list.sort(reverse=True). Dead slots rank 0.0 and sit after every
+        # live slot, whose rank is >= 0.0, so they never move up. pos
+        # follows the absorbing component through the swaps.
+        pos = jm
+        pos[iu] = jt
+        rank = np.sqrt(var)
+        np.divide(w, rank, out=rank)
+        rank_flat = rank.reshape(-1)
+        mu_rows = _rows(mu_flat)
+        for top in range(k - 1, 0, -1):
+            for a in range(top):
+                sw = np.flatnonzero(rank[a + 1] > rank[a])
+                if not sw.size:
+                    continue
+                fa = a * n + sw
+                fb = fa + n
+                for arr in (w_flat, var_flat, rank_flat, mu_rows):
+                    arr[fa], arr[fb] = arr[fb], arr[fa]
+                pos_sw = pos[sw]
+                pos[sw] = np.where(pos_sw == a, a + 1, np.where(pos_sw == a + 1, a, pos_sw))
 
-        decay_u = live & um[None, :] & (self._slots[:, None] != jt_e)
-        w = np.where(decay_u, w * one_minus_alpha, w)
-
-        w_t = np.take_along_axis(w, jt_e, axis=0)[0]
-        np.put_along_axis(w, jt_e, np.where(um, p.w_init, w_t)[None, :], axis=0)
-        mu_t = np.take_along_axis(mu, jt[None, :, None], axis=0)[0]
-        np.put_along_axis(
-            mu, jt[None, :, None], np.where(um[:, None], z, mu_t)[None, :, :], axis=0
-        )
-        var_t = np.take_along_axis(var, jt_e, axis=0)[0]
-        np.put_along_axis(var, jt_e, np.where(um, p.var_init, var_t)[None, :], axis=0)
-
-        new_live = np.where(append_px, self.live_count + 1, self.live_count)
-        live = self._slots[:, None] < new_live[None, :]
-
-        # Renormalize unmatched pixels. Dead slots are exactly zero, so the
-        # slot-order sum equals the scalar running total.
-        total = w[0].copy()
-        for kk in range(1, k):
-            total = total + w[kk]
-        denom = np.where(um, total, 1.0)
-        w = np.where(um[None, :] & live, w / denom[None, :], w)
-
-        # Stable rank sort, dead slots last.
-        rank = np.where(live, w / np.sqrt(var), -np.inf)
-        order = np.argsort(-rank, axis=0, kind="stable")
-        w = np.take_along_axis(w, order, axis=0)
-        var = np.take_along_axis(var, order, axis=0)
-        mu = np.take_along_axis(mu, order[:, :, None], axis=0)
-
-        inv = np.empty_like(order)
-        np.put_along_axis(inv, order, np.broadcast_to(self._slots[:, None], (k, n)), axis=0)
-        j_abs = np.where(matched_any, jm, jt)
-        pos = np.take_along_axis(inv, j_abs[None, :], axis=0)[0]
-
-        running = np.zeros(n, dtype=np.float64)
-        b = new_live.copy()
-        found = np.zeros(n, dtype=bool)
-        for kk in range(k):
-            running = running + w[kk]
-            hit = ~found & (running > p.t)
-            b = np.where(hit, kk + 1, b)
-            found |= hit
+        # Background prefix: the first slot whose running weight sum exceeds
+        # t. The sum never falls, so that slot's index is the number of
+        # sums at or below t; the live count is the fallback.
+        running = w[0].copy()
+        b = (running <= p.t) + 1
+        for j in range(1, k):
+            running += w[j]
+            b += running <= p.t
+        np.minimum(b, count, out=b)
 
         labels = np.where(pos < b, BACKGROUND, FOREGROUND).astype(np.uint8)
-
-        self.weights = w
-        self.means = mu
-        self.variances = var
-        self.live_count = new_live
         return labels, pos, b
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """View a C-contiguous (m, 3) float64 array as m opaque 24-byte records,
+    so that fancy indexing moves whole rows at once."""
+    return a.view(np.dtype((np.void, 24))).reshape(-1)

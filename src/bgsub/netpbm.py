@@ -75,10 +75,12 @@ def decode_pgm(data: bytes) -> np.ndarray:
 
 
 def decode_frame(data: bytes, width: int | None = None, height: int | None = None) -> np.ndarray:
-    """Decode one frame: binary PPM, or raw interleaved RGB24 of known size."""
-    if data[:2] == b"P6":
-        return decode_ppm(data)
+    """Decode one frame: raw interleaved RGB24 when width and height are
+    given, else binary PPM. Raw payloads are never sniffed for a header,
+    since their first two bytes may well read "P6"."""
     if width is None or height is None:
+        if data[:2] == b"P6":
+            return decode_ppm(data)
         raise MalformedHeader("not a PPM and no raw frame dimensions configured")
     need = width * height * 3
     if len(data) < need:

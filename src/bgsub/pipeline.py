@@ -92,6 +92,8 @@ class FramePipeline:
                 f"frame {self.frame_index}: {frame.shape[1::-1]} after "
                 f"({self.width}, {self.height})"
             )
+        if frame.dtype != np.uint8:
+            raise ValueError(f"frame {self.frame_index}: dtype {frame.dtype}, expected uint8")
         cfg = self.config
         h, w = self.height, self.width
         z = frame.reshape(-1, 3).astype(np.float64)

@@ -8,7 +8,9 @@ from bgsub.gmm import (
     BACKGROUND,
     FIXED_ALPHA,
     PDF_FAITHFUL,
+    GaussianComponent,
     ModelParams,
+    PixelModel,
     init_pixel_model,
     process_pixel,
 )
@@ -41,8 +43,9 @@ def _scalar_state(models):
     return weights, means, variances
 
 
-def test_equivalence_fixed_alpha_is_exact():
-    p = ModelParams(alpha=0.03, rho_mode=FIXED_ALPHA)
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_equivalence_fixed_alpha_is_exact(k):
+    p = ModelParams(k=k, alpha=0.03, rho_mode=FIXED_ALPHA)
     n = 48
     rng = np.random.default_rng(21)
     frames = _frame_stream(rng, n, 120)
@@ -75,6 +78,61 @@ def test_equivalence_fixed_alpha_is_exact():
             assert np.array_equal(fm.weights[:lc, j], sw[:lc, j])
             assert np.array_equal(fm.means[:lc, j], sm[:lc, j])
             assert np.array_equal(fm.variances[:lc, j], sv[:lc, j])
+
+
+def _set_state(fm, models):
+    """Load scalar pixel models into a started FrameModel."""
+    for j, m in enumerate(models):
+        fm.live_count[j] = m.live_count
+        for i, c in enumerate(m.components):
+            fm.weights[i, j] = c.weight
+            fm.means[i, j] = c.mean
+            fm.variances[i, j] = c.variance
+    fm.started = True
+
+
+def test_equal_ranks_keep_slot_order():
+    # alpha 0.5 keeps every product exact, so the ties below are exact.
+    p = ModelParams(k=3, alpha=0.5, var_min=1.0, rho_mode=FIXED_ALPHA)
+    far = (250.0, 250.0, 250.0)
+
+    def comps(*specs):
+        return PixelModel([GaussianComponent(w, m, v) for w, m, v in specs])
+
+    def states():
+        return [
+            # z matches slot 2, whose new rank 0.625 / 4 ties slot 1's
+            # 0.15625 / 1: it must stay behind slot 1.
+            comps((0.4375, (50.0,) * 3, 1.0), (0.3125, (0.0,) * 3, 1.0), (0.25, (100.0,) * 3, 16.0)),
+            # z matches slot 1, whose new rank 0.625 / 4 ties slot 0's
+            # 0.3125 / 2: it must stay behind slot 0.
+            comps((0.625, (50.0,) * 3, 4.0), (0.25, (100.0,) * 3, 16.0), (0.125, (0.0,) * 3, 16.0)),
+            # Two equal live slots, z appended after them.
+            comps((0.5, (50.0,) * 3, 16.0), (0.5, (100.0,) * 3, 16.0)),
+            # Equal lowest weights: the first of them is replaced.
+            comps((0.5, (50.0,) * 3, 16.0), (0.25, (100.0,) * 3, 16.0), (0.25, (0.0,) * 3, 16.0)),
+        ]
+
+    z = np.array([(108.0, 100.0, 100.0), (108.0, 100.0, 100.0), far, far])
+    n = len(z)
+    fm = FrameModel(p, n)
+    _set_state(fm, states())
+    labels, pos, b = fm.observe(z)
+
+    scalars = states()
+    for j in range(n):
+        scalars[j], s_label, s_pos, s_b = process_pixel(scalars[j], tuple(z[j]), p)
+        assert (labels[j], pos[j], b[j]) == (s_label, s_pos, s_b)
+        assert fm.live_count[j] == scalars[j].live_count
+        for i, c in enumerate(scalars[j].components):
+            assert fm.weights[i, j] == c.weight
+            assert tuple(fm.means[i, j]) == c.mean
+            assert fm.variances[i, j] == c.variance
+    rank = fm.weights / np.sqrt(fm.variances)
+    assert rank[1, 0] == rank[2, 0] and pos[0] == 2
+    assert rank[0, 1] == rank[1, 1] and pos[1] == 1
+    assert rank[0, 2] == rank[1, 2]
+    assert sorted(tuple(m) for m in fm.means[:, 3]) == [(0.0,) * 3, (50.0,) * 3, far]
 
 
 def test_equivalence_pdf_mode_near_exact():

@@ -142,6 +142,14 @@ def test_decode_frame_raw_path():
     assert tuple(img[0, 1]) == (40, 50, 60)
 
 
+def test_decode_frame_raw_starting_with_p6_is_not_sniffed():
+    payload = bytes([80, 54, 0, 1, 2, 3])  # b"P6" then four pixel bytes
+    img = decode_frame(payload, width=2, height=1)
+    assert img.shape == (1, 2, 3)
+    assert tuple(img[0, 0]) == (80, 54, 0)
+    assert tuple(img[0, 1]) == (1, 2, 3)
+
+
 def test_decode_frame_raw_needs_dimensions():
     with pytest.raises(MalformedHeader):
         decode_frame(bytes(12))

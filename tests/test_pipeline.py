@@ -296,6 +296,16 @@ def test_frame_pipeline_rejects_wrong_shape():
         pipeline.close()
 
 
+def test_frame_pipeline_rejects_wrong_dtype():
+    pipeline = FramePipeline(RunConfig(), 16, 12)
+    try:
+        with pytest.raises(ValueError, match="float64"):
+            pipeline.process(np.full((12, 16, 3), 300.5))
+        assert pipeline.frame_index == 0
+    finally:
+        pipeline.close()
+
+
 def test_stage_timing_accumulates(event_scene_dir):
     frames, _ = generate_scene(_event_scene(), seed=3)
     pipeline = FramePipeline(RunConfig(), 40, 30)
