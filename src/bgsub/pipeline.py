@@ -238,14 +238,35 @@ def run_pipeline(config: RunConfig) -> dict:
     skipped when no output directory is configured). Throughput numbers
     cover compute only; decoding and disk writes happen outside the
     timed sections.
+
+    A run that ends by an exception, an interrupt included, still writes
+    the stats of the frames processed so far, with an added "error" key,
+    and then re-raises.
     """
     out_dir = _prepare_output(config)
+    frame_seconds: list[float] = []
+    event_counts = {KIND_INTRUSION: 0, KIND_ABANDONED: 0, KIND_MOTION_STARTED: 0}
+    try:
+        _run_stream(config, out_dir, frame_seconds, event_counts)
+    except BaseException as exc:
+        stats = _stats(frame_seconds, event_counts)
+        stats["error"] = f"{type(exc).__name__}: {exc}"
+        _write_stats(config, out_dir, stats)
+        raise
+    stats = _stats(frame_seconds, event_counts)
+    _write_stats(config, out_dir, stats)
+    return stats
+
+
+def _run_stream(
+    config: RunConfig, out_dir: Path | None, frame_seconds: list[float], event_counts: dict
+) -> None:
+    """Read, process and emit every frame; append each frame's compute time
+    to frame_seconds and count its events as they happen."""
     stop = threading.Event()
     frames_q, reader = _frame_source(config, stop)
     emit = config.emit
     pipeline: FramePipeline | None = None
-    frame_seconds: list[float] = []
-    event_counts = {KIND_INTRUSION: 0, KIND_ABANDONED: 0, KIND_MOTION_STARTED: 0}
     events_file = None
     try:
         if out_dir is not None and emit.events:
@@ -290,9 +311,11 @@ def run_pipeline(config: RunConfig) -> dict:
         if pipeline is not None:
             pipeline.close()
 
+
+def _stats(frame_seconds: list[float], event_counts: dict) -> dict:
     n = len(frame_seconds)
     total = sum(frame_seconds)
-    stats = {
+    return {
         "frames": n,
         "mean_fps": (n / total) if total > 0.0 else 0.0,
         "p95_frame_ms": float(np.percentile(np.array(frame_seconds) * 1000.0, 95)) if n else 0.0,
@@ -302,6 +325,8 @@ def run_pipeline(config: RunConfig) -> dict:
             "motion_started": event_counts[KIND_MOTION_STARTED],
         },
     }
-    if out_dir is not None and emit.stats:
+
+
+def _write_stats(config: RunConfig, out_dir: Path | None, stats: dict) -> None:
+    if out_dir is not None and config.emit.stats:
         (out_dir / "stats.json").write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
-    return stats

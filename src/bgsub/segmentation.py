@@ -1,9 +1,15 @@
 """Connected-component labeling and blob extraction for binary masks.
 
-Labeling is two-pass over horizontal runs rather than pixels: runs are
-cheap to extract with numpy, and only the (few) runs touch the
-union-find, which keeps the Python-level work proportional to the number
-of foreground spans instead of the raster size.
+Labeling works on horizontal runs rather than pixels, in whole-array
+numpy steps with no Python loop over runs or pixels. Two searchsorted
+calls find, for every run, the contiguous range of runs in the row above
+that touch it. In rounds, every root is hooked to the smallest root it
+touches and pointer jumping then points every run at its root, until
+every touching pair shares a root; each round merges at least one pair
+of trees, and a few rounds suffice on real masks. Because runs come out
+in row-major order, each root is its component's first run, so numbering
+the roots in index order gives the row-major first-pixel numbering, and
+one scatter paints every run.
 """
 
 from __future__ import annotations
@@ -44,63 +50,52 @@ def label_components(mask: np.ndarray, connectivity: str = EIGHT) -> np.ndarray:
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ValueError(f"mask must be 2-D, got shape {m.shape}")
+    fg = m != 0
     h, w = m.shape
     labels = np.zeros((h, w), dtype=np.int32)
 
-    # Horizontal runs from the sign changes of each padded row.
-    edges = np.diff((m != 0).astype(np.int8), axis=1, prepend=0, append=0)
-    run_row, run_x0 = np.nonzero(edges == 1)
-    _, run_xe = np.nonzero(edges == -1)
-    n_runs = len(run_row)
+    # Horizontal runs from the sign changes of the zero-padded rows. In the
+    # flattened (h, w + 1) edge map a run keeps its row and column as
+    # row * stride + x, and a key one stride back lies in the row above.
+    stride = w + 1
+    edges = np.diff(fg.astype(np.int8), axis=1, prepend=0, append=0).reshape(-1)
+    start = np.flatnonzero(edges == 1)
+    end = np.flatnonzero(edges == -1) - 1  # inclusive
+    n_runs = len(start)
     if n_runs == 0:
         return labels
-    run_x1 = run_xe - 1  # inclusive
 
-    # Runs come out sorted row-major; row_begin[y] slices row y's runs.
-    row_begin = np.searchsorted(run_row, np.arange(h + 1))
+    # Both keys increase in run order, so the runs of the row above that
+    # touch run j form the index range [lo[j], hi[j]).
+    lo = np.searchsorted(end, start - stride - slack)
+    hi = np.searchsorted(start, end - stride + slack, side="right")
+    count = hi - lo
+    below = np.repeat(np.arange(n_runs), count)
+    above = np.arange(len(below)) + np.repeat(lo - (np.cumsum(count) - count), count)
 
-    parent = list(range(n_runs))
+    # Hook every root to the smallest root it touches, then point every run
+    # at its root, until each touching pair agrees. Hooks only go to smaller
+    # indices, so each root ends as the first run of its component.
+    root = np.arange(n_runs)
+    while True:
+        ra, rb = root[above], root[below]
+        differ = ra != rb
+        if not differ.any():
+            break
+        ra, rb = ra[differ], rb[differ]
+        np.minimum.at(root, ra, rb)
+        np.minimum.at(root, rb, ra)
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for y in range(1, h):
-        i = row_begin[y - 1]
-        i_end = row_begin[y]
-        j = i_end
-        j_end = row_begin[y + 1]
-        while i < i_end and j < j_end:
-            if run_x1[i] + slack < run_x0[j]:
-                i += 1
-            elif run_x1[j] + slack < run_x0[i]:
-                j += 1
-            else:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    if ra < rb:
-                        parent[rb] = ra
-                    else:
-                        parent[ra] = rb
-                if run_x1[i] <= run_x1[j]:
-                    i += 1
-                else:
-                    j += 1
-
-    # Dense ids in first-encounter order; runs are row-major, so the first
-    # run of a component is also its first pixel in row-major order.
-    root_to_id: dict[int, int] = {}
-    next_id = 0
-    for t in range(n_runs):
-        root = find(t)
-        cid = root_to_id.get(root)
-        if cid is None:
-            next_id += 1
-            cid = next_id
-            root_to_id[root] = cid
-        labels[run_row[t], run_x0[t] : run_x1[t] + 1] = cid
+    # Runs are row-major, so numbering roots in index order numbers the
+    # components by their first pixel, and the runs' pixels, concatenated,
+    # are the foreground pixels in row-major order.
+    ids = np.cumsum(root == np.arange(n_runs), dtype=np.int32)[root]
+    labels[fg] = np.repeat(ids, end - start + 1)
     return labels
 
 
@@ -130,10 +125,8 @@ def extract_blobs(labels: np.ndarray, min_area: int = 15) -> list[Blob]:
     np.maximum.at(max_y, ids, ys)
 
     blobs = []
-    for cid in range(1, n + 1):
+    for cid in np.flatnonzero(area >= min_area).tolist():
         a = int(area[cid])
-        if a < min_area:
-            continue
         blobs.append(
             Blob(
                 id=cid,

@@ -1,12 +1,25 @@
 """CLI behavior through real subprocess invocations."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bgsub
+
 CLI = [sys.executable, "-m", "bgsub.cli"]
+
+# The child interpreter imports the same bgsub as this one, also when it
+# comes from pytest's pythonpath setting rather than the environment.
+_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(bgsub.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+    ),
+}
 
 SCENE = {
     "width": 40,
@@ -30,6 +43,7 @@ def _run(*argv, stdin_bytes=None):
         input=stdin_bytes,
         capture_output=True,
         timeout=120,
+        env=_ENV,
     )
 
 

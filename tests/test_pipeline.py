@@ -263,6 +263,49 @@ def test_stdin_truncated_frame(tmp_path, monkeypatch):
         run_pipeline(_event_config("-", None, width=40, height=30))
 
 
+def test_truncated_stream_still_writes_stats(tmp_path, monkeypatch):
+    frame = np.full((3, 4, 3), 90, dtype=np.uint8)
+    raw = frame.tobytes() * 2 + bytes(5)
+    monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=io.BytesIO(raw)))
+    out = tmp_path / "out"
+    with pytest.raises(TruncatedPayload):
+        run_pipeline(_event_config("-", out, width=4, height=3, zones=[]))
+    assert len(list(out.glob("mask_*.pgm"))) == 2
+    assert (out / "events.jsonl").is_file()
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["frames"] == 2
+    assert stats["events"] == {"intrusion": 0, "abandoned": 0, "motion_started": 0}
+    assert stats["error"] == "TruncatedPayload: raw frame 2 needs 36 bytes, stream ended after 5"
+
+
+def test_interrupted_run_still_writes_stats(event_scene_dir, tmp_path, monkeypatch):
+    process = FramePipeline.process
+
+    def interrupt_at_frame_10(self, frame):
+        if self.frame_index == 10:
+            raise KeyboardInterrupt
+        return process(self, frame)
+
+    monkeypatch.setattr(FramePipeline, "process", interrupt_at_frame_10)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(_event_config(event_scene_dir, out))
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["frames"] == 10
+    assert stats["events"] == {"intrusion": 0, "abandoned": 0, "motion_started": 1}
+    assert stats["error"] == "KeyboardInterrupt: "
+    lines = (out / "events.jsonl").read_text().splitlines()
+    assert [json.loads(line)["kind"] for line in lines] == ["motion_started"]
+
+
+def test_completed_run_stats_have_no_error(event_scene_dir, tmp_path):
+    out = tmp_path / "out"
+    stats = run_pipeline(_event_config(event_scene_dir, out))
+    on_disk = json.loads((out / "stats.json").read_text())
+    assert set(on_disk) == {"frames", "mean_fps", "p95_frame_ms", "events"}
+    assert on_disk == json.loads(json.dumps(stats))
+
+
 def test_shadow_pixels_do_not_become_blobs():
     spec = SceneSpec(
         width=32,

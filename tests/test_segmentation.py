@@ -109,6 +109,77 @@ def test_random_grids_match_flood_fill(connectivity):
         assert np.array_equal(got, want), f"trial {trial}"
 
 
+def _serpentine(h=119, w=160):
+    # full rows joined by one pixel at alternating ends: one component
+    # whose runs chain from the first row to the last
+    m = np.zeros((h, w), dtype=np.uint8)
+    m[::2] = 255
+    for y in range(1, h, 2):
+        m[y, w - 1 if y % 4 == 1 else 0] = 255
+    return m
+
+
+def _spiral(n=41):
+    # one-pixel wall winding inwards, so the path through the component
+    # runs against row-major order
+    m = np.zeros((n, n), dtype=np.uint8)
+    y, x, dy, dx = 0, 0, 0, 1
+    length = n - 1
+    for turn in range(2 * n):
+        if length <= 0:
+            break
+        for _ in range(length):
+            m[y, x] = 255
+            y, x = y + dy, x + dx
+        dy, dx = dx, -dy
+        if turn > 0 and turn % 2 == 0:
+            length -= 2
+    m[y, x] = 255
+    return m
+
+
+def _comb(h=40, w=61):
+    # teeth on even columns that join only on the last row
+    m = np.zeros((h, w), dtype=np.uint8)
+    m[:, ::2] = 255
+    m[-1] = 255
+    return m
+
+
+def _random(shape, density, seed):
+    return (np.random.default_rng(seed).random(shape) < density).astype(np.uint8) * 255
+
+
+@pytest.mark.parametrize("connectivity", [FOUR, EIGHT])
+@pytest.mark.parametrize(
+    "mask, one_component",
+    [
+        pytest.param(_serpentine(), True, id="serpentine"),
+        pytest.param(_spiral(), True, id="spiral"),
+        pytest.param(_comb(), True, id="comb"),
+        pytest.param(_random((1, 500), 0.5, 21), False, id="row"),
+        pytest.param(_random((500, 1), 0.5, 22), False, id="column"),
+        pytest.param(_random((120, 160), 0.35, 23), False, id="raster"),
+    ],
+)
+def test_long_merges_match_flood_fill(mask, one_component, connectivity):
+    got = label_components(mask, connectivity)
+    want = np.array(flood_fill_labels(mask.tolist(), connectivity))
+    assert got.dtype == np.int32
+    assert np.array_equal(got, want)
+    if one_component:
+        assert got.max() == 1
+
+
+def test_bool_and_uint8_masks_label_alike():
+    m = np.random.default_rng(24).random((30, 40)) < 0.4
+    for connectivity in (FOUR, EIGHT):
+        as_bool = label_components(m, connectivity)
+        as_uint8 = label_components(m.astype(np.uint8) * 255, connectivity)
+        assert as_bool.dtype == as_uint8.dtype == np.int32
+        assert as_bool.tobytes() == as_uint8.tobytes()
+
+
 def test_single_block_blob():
     m = _mask([
         "##..",
@@ -119,7 +190,7 @@ def test_single_block_blob():
     blobs = extract_blobs(labels, min_area=1)
     assert len(blobs) == 1
     b = blobs[0]
-    assert b.id == 1
+    assert b.id == 1 and type(b.id) is int
     assert b.area == 4
     assert b.bbox == (0, 0, 1, 1)
     assert b.centroid == (0.5, 0.5)
