@@ -9,7 +9,9 @@ models and is classified all background.
 Worker parallelism splits the raster into contiguous row bands with an
 independent mixture engine per band; pixels are modeled independently, so
 band boundaries cannot change any label. Decoding runs in a reader thread
-feeding a bounded queue (queue_depth); timing covers compute only, so
+feeding a bounded queue (queue_depth), and mask and overlay files are
+written in order by a writer thread fed the same way, so that creating
+them overlaps the next frame's compute; timing covers compute only, so
 neither knob affects results, only scheduling.
 """
 
@@ -216,6 +218,47 @@ def _frame_source(config: RunConfig, stop: threading.Event):
     return out_q, thread
 
 
+class _FileWriter:
+    """Writes batches of (path, bytes) in order on a thread of its own.
+
+    put() blocks while depth batches wait. After a failed write the rest
+    are dropped, and the next put() or close() raises the error.
+    """
+
+    def __init__(self, depth: int):
+        self._q: queue.Queue = queue.Queue(maxsize=depth)
+        self._error: Exception | None = None
+        self._thread = threading.Thread(target=self._loop, daemon=True)
+        self._thread.start()
+
+    def _loop(self) -> None:
+        while (files := self._q.get()) is not None:
+            if self._error is not None:
+                continue
+            try:
+                for path, data in files:
+                    path.write_bytes(data)
+            except Exception as exc:  # raised again on the calling thread
+                self._error = exc
+
+    def put(self, files: list) -> None:
+        if self._error is not None:
+            raise self._error
+        self._q.put(files)
+
+    def join(self) -> None:
+        """Finish the queued writes and end the thread."""
+        if self._thread.is_alive():
+            self._q.put(None)
+            self._thread.join()
+
+    def close(self) -> None:
+        """join(), then raise the first write error, if any."""
+        self.join()
+        if self._error is not None:
+            raise self._error
+
+
 def _prepare_output(config: RunConfig) -> Path | None:
     if config.output is None:
         return None
@@ -268,6 +311,9 @@ def _run_stream(
     emit = config.emit
     pipeline: FramePipeline | None = None
     events_file = None
+    writer = None
+    if out_dir is not None and (emit.masks or emit.overlays):
+        writer = _FileWriter(config.queue_depth)
     try:
         if out_dir is not None and emit.events:
             events_file = (out_dir / "events.jsonl").open("w", encoding="utf-8")
@@ -292,13 +338,19 @@ def _run_stream(
                 event_counts[event.kind] += 1
                 if events_file is not None:
                     events_file.write(json.dumps(event.to_json()) + "\n")
-            if out_dir is not None:
+            if writer is not None:
+                files = []
                 if emit.masks:
-                    (out_dir / f"mask_{index:06d}.pgm").write_bytes(encode_mask(result.classes))
+                    files.append((out_dir / f"mask_{index:06d}.pgm", encode_mask(result.classes)))
                 if emit.overlays:
                     overlay = render_overlay(frame, result.classes)
-                    (out_dir / f"overlay_{index:06d}.ppm").write_bytes(encode_ppm(overlay))
+                    files.append((out_dir / f"overlay_{index:06d}.ppm", encode_ppm(overlay)))
+                writer.put(files)
+        if writer is not None:
+            writer.close()
     finally:
+        if writer is not None:
+            writer.join()
         stop.set()
         while True:  # unblock the reader if it is waiting on a full queue
             try:

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import threading
 import types
 
 import numpy as np
@@ -18,7 +19,7 @@ from bgsub.errors import (
 )
 from bgsub.events import EventParams, Zone
 from bgsub.gmm import BACKGROUND, FOREGROUND
-from bgsub.netpbm import decode_pgm, decode_ppm, encode_ppm
+from bgsub.netpbm import decode_pgm, decode_ppm, encode_mask, encode_ppm
 from bgsub.pipeline import STAGE_NAMES, FramePipeline, run_pipeline
 from bgsub.scenes import Actor, SceneSpec, ShadowPatch, Waypoint, generate_scene, write_scene
 from bgsub.shadow import SHADOW
@@ -304,6 +305,42 @@ def test_completed_run_stats_have_no_error(event_scene_dir, tmp_path):
     on_disk = json.loads((out / "stats.json").read_text())
     assert set(on_disk) == {"frames", "mean_fps", "p95_frame_ms", "events"}
     assert on_disk == json.loads(json.dumps(stats))
+
+
+def test_run_leaves_no_threads_behind(event_scene_dir, tmp_path):
+    before = set(threading.enumerate())
+    run_pipeline(_event_config(event_scene_dir, tmp_path / "out"))
+    assert set(threading.enumerate()) == before
+
+
+def test_threaded_writes_match_in_memory_run_under_frequent_switches(event_scene_dir, tmp_path):
+    frames, _ = generate_scene(_event_scene(), seed=3)
+    pipeline = FramePipeline(_event_config(event_scene_dir, None), 40, 30)
+    expected = [encode_mask(pipeline.process(frame).classes) for frame in frames]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_pipeline(_event_config(event_scene_dir, tmp_path / "out", queue_depth=1))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [p.read_bytes() for p in sorted((tmp_path / "out").glob("mask_*.pgm"))] == expected
+
+
+@pytest.mark.parametrize("bad", [3, 39])
+def test_failed_file_write_raises_and_writes_stats(event_scene_dir, tmp_path, bad):
+    out = tmp_path / "out"
+    (out / f"mask_{bad:06d}.pgm").mkdir(parents=True)  # a directory where a mask goes
+    before = set(threading.enumerate())
+    with pytest.raises(IsADirectoryError):
+        run_pipeline(_event_config(event_scene_dir, out))
+    assert set(threading.enumerate()) == before
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["error"].startswith("IsADirectoryError: ")
+    # an early failure stops the run long before the stream ends, a failure
+    # on the last frame is still reported
+    assert stats["frames"] < 20 if bad == 3 else stats["frames"] == 40
+    assert (out / f"overlay_{bad - 1:06d}.ppm").is_file()
+    assert not (out / f"overlay_{bad:06d}.ppm").exists()
 
 
 def test_shadow_pixels_do_not_become_blobs():
