@@ -36,10 +36,10 @@ class EventParams:
     track_timeout: int = 30
 
     def __post_init__(self) -> None:
-        if self.max_assoc_dist <= 0.0:
-            raise ValueError(f"max_assoc_dist must be positive, got {self.max_assoc_dist}")
-        if self.eps_move <= 0.0:
-            raise ValueError(f"eps_move must be positive, got {self.eps_move}")
+        if not (math.isfinite(self.max_assoc_dist) and self.max_assoc_dist > 0.0):
+            raise ValueError(f"max_assoc_dist must be finite and positive, got {self.max_assoc_dist}")
+        if not (math.isfinite(self.eps_move) and self.eps_move > 0.0):
+            raise ValueError(f"eps_move must be finite and positive, got {self.eps_move}")
         if self.n_static < 1:
             raise ValueError(f"n_static must be >= 1, got {self.n_static}")
         if self.track_timeout < 1:

@@ -9,6 +9,15 @@ pdf-scaled rho mode can differ from the scalar path by a final unit in
 the last place because numpy's vectorized exp is not guaranteed to round
 identically to math.exp.
 
+The match test costs in proportion to the slots that can still match.
+Slot 0 is live for every started pixel and is tested densely. When at
+most SPARSE_MISS_FRACTION of the pixels missed it, as on a mostly static
+scene, slot j is tested only for the pixels that missed slots 0..j-1 and
+have more than j live slots, on rows gathered by index. When more
+missed, the gathers would cost more than they save, and slots 1..k-1 of
+every pixel are tested in one dense block. The one threshold picks the
+cheaper of the two per frame; both find the same first matching slot.
+
 State is updated in place. Per-pixel slot reads and writes go through
 flat indices (slot * n + pixel) into raveled views, and only for the
 pixels concerned: matched pixels update their matched slot, unmatched
@@ -26,6 +35,10 @@ from __future__ import annotations
 import numpy as np
 
 from .gmm import BACKGROUND, FOREGROUND, GAUSS_NORM_3D, PDF_FAITHFUL, ModelParams
+
+# Slots 1..k-1 are tested on gathered rows when at most this fraction of
+# pixels missed slot 0, and as one dense block otherwise.
+SPARSE_MISS_FRACTION = 0.1
 
 
 class FrameModel:
@@ -79,26 +92,51 @@ class FrameModel:
         w_flat = w.reshape(-1)
         mu_flat = mu.reshape(-1, 3)
         var_flat = var.reshape(-1)
-        live = self._slots[:, None] < count
 
-        # Squared distances, slot by slot through one (n, 3) temporary.
+        # Squared distances through one (n, 3) temporary. Slot 0 is live for
+        # every started pixel, so it is tested densely.
+        limit = p.d * p.d
         d2 = np.empty((k, n))
         diff = np.empty((n, 3))
-        for j in range(k):
-            np.subtract(z, mu[j], out=diff)
-            diff *= diff
-            np.add(diff[:, 0], diff[:, 1], out=d2[j])
-            d2[j] += diff[:, 2]
-        limit = p.d * p.d
-        matched = d2 < limit * var
-        matched &= live
+        np.subtract(z, mu[0], out=diff)
+        _sq_norm(diff, d2[0])
+        unmatched = d2[0] < limit * var[0]
+        np.logical_not(unmatched, out=unmatched)
         # jm counts the slots before the first match: the first matching
-        # slot, or k - 1 (unused) where nothing matched.
-        unmatched = ~matched[0]
+        # slot (unused where nothing matched).
         jm = np.zeros(n, dtype=np.int64)
-        for j in range(1, k):
-            jm += unmatched
-            unmatched &= ~matched[j]
+        if np.count_nonzero(unmatched) <= SPARSE_MISS_FRACTION * n:
+            # Few misses: test slot j only for pixels that missed slots
+            # 0..j-1 and have more than j live slots, on gathered rows. A
+            # match keeps its d2 in the block for the pdf mode.
+            d2_flat = d2.reshape(-1)
+            rest = np.flatnonzero(unmatched)
+            for j in range(1, k):
+                rest = rest[count[rest] > j]
+                if not rest.size:
+                    break
+                f = j * n + rest
+                dz = np.take(z, rest, axis=0)
+                dz -= np.take(mu_flat, f, axis=0)
+                d2_j = np.empty(rest.size)
+                _sq_norm(dz, d2_j)
+                hit = d2_j < limit * var_flat[f]
+                found = rest[hit]
+                unmatched[found] = False
+                jm[found] = j
+                d2_flat[f[hit]] = d2_j[hit]
+                rest = rest[~hit]
+        else:
+            # Many misses: the gathers would cost more than testing slots
+            # 1..k-1 of every pixel in one block.
+            for j in range(1, k):
+                np.subtract(z, mu[j], out=diff)
+                _sq_norm(diff, d2[j])
+            matched = d2[1:] < limit * var[1:]
+            matched &= self._slots[1:, None] < count
+            for j in range(1, k):
+                jm += unmatched
+                unmatched &= ~matched[j - 1]
         im = np.flatnonzero(~unmatched)
         iu = np.flatnonzero(unmatched)
 
@@ -190,6 +228,14 @@ class FrameModel:
 
         labels = np.where(pos < b, BACKGROUND, FOREGROUND).astype(np.uint8)
         return labels, pos, b
+
+
+def _sq_norm(diff: np.ndarray, out: np.ndarray) -> None:
+    """out = |diff|^2 per (m, 3) row, summed in channel order as the scalar
+    path sums; squares diff in place."""
+    diff *= diff
+    np.add(diff[:, 0], diff[:, 1], out=out)
+    out += diff[:, 2]
 
 
 def _rows(a: np.ndarray) -> np.ndarray:

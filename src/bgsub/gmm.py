@@ -51,14 +51,14 @@ class ModelParams:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 < self.t < 1.0:
             raise ValueError(f"t must be in (0, 1), got {self.t}")
-        if self.d <= 0.0:
-            raise ValueError(f"d must be positive, got {self.d}")
-        if self.var_init <= 0.0:
-            raise ValueError(f"var_init must be positive, got {self.var_init}")
+        if not (math.isfinite(self.d) and self.d > 0.0):
+            raise ValueError(f"d must be finite and positive, got {self.d}")
+        if not (math.isfinite(self.var_init) and self.var_init > 0.0):
+            raise ValueError(f"var_init must be finite and positive, got {self.var_init}")
         if not 0.0 < self.w_init <= 1.0:
             raise ValueError(f"w_init must be in (0, 1], got {self.w_init}")
-        if self.var_min <= 0.0:
-            raise ValueError(f"var_min must be positive, got {self.var_min}")
+        if not (math.isfinite(self.var_min) and self.var_min > 0.0):
+            raise ValueError(f"var_min must be finite and positive, got {self.var_min}")
         if self.rho_mode not in (FIXED_ALPHA, PDF_FAITHFUL):
             raise ValueError(f"unknown rho_mode {self.rho_mode!r}")
 

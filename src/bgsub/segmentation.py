@@ -1,15 +1,21 @@
 """Connected-component labeling and blob extraction for binary masks.
 
 Labeling works on horizontal runs rather than pixels, in whole-array
-numpy steps with no Python loop over runs or pixels. Two searchsorted
-calls find, for every run, the contiguous range of runs in the row above
-that touch it. In rounds, every root is hooked to the smallest root it
-touches and pointer jumping then points every run at its root, until
-every touching pair shares a root; each round merges at least one pair
-of trees, and a few rounds suffice on real masks. Because runs come out
-in row-major order, each root is its component's first run, so numbering
-the roots in index order gives the row-major first-pixel numbering, and
-one scatter paints every run.
+numpy steps with no Python loop over runs or pixels. Runs are searched
+for, and labels painted, only in the rows that hold foreground, and blob
+extraction scans only the rows that hold labels; one any() per row finds
+them. A frame with a few small blobs then costs in proportion to their
+rows, not to the raster. Runs keep full-raster keys (row * stride + x),
+so rows with empty rows between them never look adjacent.
+
+Two searchsorted calls find, for every run, the contiguous range of runs
+in the row above that touch it. In rounds, every root is hooked to the
+smallest root it touches and pointer jumping then points every run at
+its root, until every touching pair shares a root; each round merges at
+least one pair of trees, and a few rounds suffice on real masks. Because
+runs come out in row-major order, each root is its component's first
+run, so numbering the roots in index order gives the row-major
+first-pixel numbering, and one scatter paints every run.
 """
 
 from __future__ import annotations
@@ -50,20 +56,27 @@ def label_components(mask: np.ndarray, connectivity: str = EIGHT) -> np.ndarray:
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ValueError(f"mask must be 2-D, got shape {m.shape}")
-    fg = m != 0
+    fg = m.astype(bool, copy=False)
     h, w = m.shape
     labels = np.zeros((h, w), dtype=np.int32)
+    rows = np.flatnonzero(fg.any(axis=1))
+    if rows.size == 0:
+        return labels
 
-    # Horizontal runs from the sign changes of the zero-padded rows. In the
-    # flattened (h, w + 1) edge map a run keeps its row and column as
-    # row * stride + x, and a key one stride back lies in the row above.
+    # Horizontal runs from the sign changes of the zero-padded rows that
+    # hold foreground. In the flattened (len(rows), w + 1) edge map a run
+    # sits at i * stride + x for compacted row i; adding that row's offset
+    # gives the full-raster key row * stride + x, and a key one stride back
+    # lies in the row above.
     stride = w + 1
-    edges = np.diff(fg.astype(np.int8), axis=1, prepend=0, append=0).reshape(-1)
+    fg_rows = fg[rows]
+    edges = np.diff(fg_rows.astype(np.int8), axis=1, prepend=0, append=0).reshape(-1)
     start = np.flatnonzero(edges == 1)
     end = np.flatnonzero(edges == -1) - 1  # inclusive
+    offset = (rows - np.arange(rows.size)) * stride
+    start += offset[start // stride]
+    end += offset[end // stride]
     n_runs = len(start)
-    if n_runs == 0:
-        return labels
 
     # Both keys increase in run order, so the runs of the row above that
     # touch run j form the index range [lo[j], hi[j]).
@@ -95,7 +108,9 @@ def label_components(mask: np.ndarray, connectivity: str = EIGHT) -> np.ndarray:
     # components by their first pixel, and the runs' pixels, concatenated,
     # are the foreground pixels in row-major order.
     ids = np.cumsum(root == np.arange(n_runs), dtype=np.int32)[root]
-    labels[fg] = np.repeat(ids, end - start + 1)
+    labels_rows = np.zeros(fg_rows.shape, dtype=np.int32)
+    labels_rows[fg_rows] = np.repeat(ids, end - start + 1)
+    labels[rows] = labels_rows
     return labels
 
 
@@ -107,10 +122,16 @@ def extract_blobs(labels: np.ndarray, min_area: int = 15) -> list[Blob]:
     """
     if min_area < 1:
         raise ValueError(f"min_area must be >= 1, got {min_area}")
-    ys, xs = np.nonzero(labels)
-    if len(ys) == 0:
+    # Only rows that hold a label are scanned; row-major order and integer
+    # sums keep every figure as a whole-raster scan would give it.
+    rows = np.flatnonzero(labels.any(axis=1))
+    labels_rows = labels[rows]
+    flat = np.flatnonzero(labels_rows)
+    if len(flat) == 0:
         return []
-    ids = labels[ys, xs].astype(np.int64)
+    ids = labels_rows.reshape(-1)[flat].astype(np.int64)
+    ys, xs = np.divmod(flat, labels.shape[1])
+    ys = rows[ys]
     n = int(ids.max())
     area = np.bincount(ids, minlength=n + 1)
     sum_x = np.bincount(ids, weights=xs, minlength=n + 1)

@@ -38,8 +38,8 @@ class ShadowParams:
             )
         if self.bd_high > 1.0:
             raise ValueError(f"bd_high must be at most 1, got {self.bd_high}")
-        if self.cd_max <= 0.0:
-            raise ValueError(f"cd_max must be positive, got {self.cd_max}")
+        if not (math.isfinite(self.cd_max) and self.cd_max > 0.0):
+            raise ValueError(f"cd_max must be finite and positive, got {self.cd_max}")
 
 
 def brightness_distortion(f: Vec3, b: Vec3) -> float:

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from bgsub.config import EmitFlags, RunConfig, SegmentationParams, config_from_dict, load_config
-from bgsub.gmm import FIXED_ALPHA
+from bgsub.events import EventParams
+from bgsub.gmm import FIXED_ALPHA, ModelParams
+from bgsub.shadow import ShadowParams
 from bgsub.segmentation import EIGHT
 
 
@@ -136,6 +138,27 @@ def test_runconfig_direct_validation():
         RunConfig(max_frames=-1)
     with pytest.raises(ValueError):
         SegmentationParams(min_area=0)
+
+
+# Every float field of every section. The JSON literals NaN and Infinity
+# parse to floats, and a NaN slips past any plain `x <= 0` test.
+_FLOAT_FIELDS = [
+    ("model", ModelParams, name) for name in ("alpha", "t", "d", "var_init", "w_init", "var_min")
+] + [
+    ("shadow", ShadowParams, name) for name in ("bd_low", "bd_high", "cd_max")
+] + [
+    ("events", EventParams, name) for name in ("max_assoc_dist", "eps_move")
+]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("section, cls, name", _FLOAT_FIELDS)
+def test_non_finite_floats_rejected(section, cls, name, literal):
+    text = f'{{"{section}": {{"{name}": {literal}}}}}'
+    with pytest.raises(ValueError, match=f"{section}: .*{name}"):
+        config_from_dict(json.loads(text))
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: float(literal.lower().replace("infinity", "inf"))})
 
 
 def test_null_optional_ints_allowed():

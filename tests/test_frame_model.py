@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from bgsub.frame_model import FrameModel
+from bgsub.frame_model import SPARSE_MISS_FRACTION, FrameModel
 from bgsub.gmm import (
     BACKGROUND,
     FIXED_ALPHA,
+    FOREGROUND,
     PDF_FAITHFUL,
     GaussianComponent,
     ModelParams,
@@ -30,6 +31,7 @@ def _frame_stream(rng, n_pixels, n_frames):
 
 
 def _scalar_state(models):
+    """Scalar models as zero-padded (slot, pixel) arrays."""
     k = max(m.live_count for m in models)
     n = len(models)
     weights = np.zeros((k, n))
@@ -43,41 +45,120 @@ def _scalar_state(models):
     return weights, means, variances
 
 
+def _static_stream(rng, n_pixels, n_frames, crowded=()):
+    """Pixel streams that stay on their first mode on at least 90% of
+    pixels, so FrameModel tests later slots on gathered rows. Frames whose
+    index is in crowded draw every mode alike instead."""
+    frames = []
+    modes = rng.uniform(0.0, 255.0, (3, n_pixels, 3))
+    for f_idx in range(n_frames):
+        if f_idx in crowded:
+            pick = rng.integers(0, 3, n_pixels)
+        else:
+            # The seed frame is all first mode; later ones mostly so.
+            u = rng.random(n_pixels) * (f_idx > 0)
+            pick = (u > 0.98).astype(int) + (u > 0.993)
+        z = modes[pick, np.arange(n_pixels)] + rng.normal(0.0, 3.0, (n_pixels, 3))
+        frames.append(np.clip(z, 0.0, 255.0))
+    return frames
+
+
+def _first_match(fm, z):
+    """Each pixel's first live slot that matches z, or -1, computed as
+    observe() does, before the call."""
+    diff = z - fm.means
+    diff *= diff
+    d2 = diff[..., 0] + diff[..., 1] + diff[..., 2]
+    limit = fm.params.d * fm.params.d
+    matched = (d2 < limit * fm.variances) & (np.arange(fm.params.k)[:, None] < fm.live_count)
+    return np.where(matched.any(axis=0), matched.argmax(axis=0), -1)
+
+
+def _check_against_scalar(p, frames, exact):
+    """Run FrameModel and the scalar process_pixel side by side. Outputs and
+    live counts must agree exactly, and so must the state when exact, else
+    to rtol 1e-12; dead slots must keep weight 0.0. Returns each pixel's
+    first matching slot (-1 for none), one row per frame after the seed."""
+    n = len(frames[0])
+    fm = FrameModel(p, n)
+    labels, _, _ = fm.observe(frames[0])
+    assert np.all(labels == BACKGROUND)
+    scalars = [init_pixel_model(tuple(z), p) for z in frames[0]]
+    first = []
+    for f_idx, z in enumerate(frames[1:], 1):
+        first.append(_first_match(fm, z))
+        labels, pos, b = fm.observe(z)
+        steps = [process_pixel(scalars[j], tuple(z[j]), p) for j in range(n)]
+        scalars = [step[0] for step in steps]
+        want = np.array([step[1:] for step in steps])
+        assert np.array_equal(np.stack([labels, pos, b], axis=1), want), f"frame {f_idx}"
+        live = np.array([m.live_count for m in scalars])
+        assert np.array_equal(fm.live_count, live)
+        sw, sm, sv = _scalar_state(scalars)
+        kk = sw.shape[0]
+        in_use = np.arange(kk)[:, None] < live
+        assert np.all(fm.weights[kk:] == 0.0) and np.all(fm.weights[:kk][~in_use] == 0.0)
+        for got, expect in ((fm.weights, sw), (fm.means, sm), (fm.variances, sv)):
+            got = got[:kk][in_use]
+            if exact:
+                # bit-for-bit: same operation order on both paths
+                assert np.array_equal(got, expect[in_use]), f"frame {f_idx}"
+            else:
+                np.testing.assert_allclose(got, expect[in_use], rtol=1e-12)
+    return np.array(first)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_equivalence_fixed_alpha_is_exact(k):
     p = ModelParams(k=k, alpha=0.03, rho_mode=FIXED_ALPHA)
-    n = 48
-    rng = np.random.default_rng(21)
-    frames = _frame_stream(rng, n, 120)
-    fm = FrameModel(p, n)
-    scalars = None
-    for f_idx, z in enumerate(frames):
-        labels, pos, b = fm.observe(z)
-        if scalars is None:
-            scalars = [init_pixel_model(tuple(z[j]), p) for j in range(n)]
-            assert np.all(labels == BACKGROUND)
-            continue
-        s_labels = np.empty(n, dtype=np.uint8)
-        s_pos = np.empty(n, dtype=np.int64)
-        s_b = np.empty(n, dtype=np.int64)
-        for j in range(n):
-            scalars[j], s_labels[j], s_pos[j], s_b[j] = process_pixel(
-                scalars[j], tuple(z[j]), p
-            )
-        assert np.array_equal(labels, s_labels), f"labels diverged at frame {f_idx}"
-        assert np.array_equal(pos, s_pos)
-        assert np.array_equal(b, s_b)
-        sw, sm, sv = _scalar_state(scalars)
-        live = np.array([m.live_count for m in scalars])
-        assert np.array_equal(fm.live_count, live)
-        kk = sw.shape[0]
-        # bit-for-bit: same operation order on both paths
-        assert np.array_equal(fm.weights[:kk][sw > 0], sw[sw > 0])
-        for j in range(n):
-            lc = live[j]
-            assert np.array_equal(fm.weights[:lc, j], sw[:lc, j])
-            assert np.array_equal(fm.means[:lc, j], sm[:lc, j])
-            assert np.array_equal(fm.variances[:lc, j], sv[:lc, j])
+    _check_against_scalar(p, _frame_stream(np.random.default_rng(21), 48, 120), exact=True)
+
+
+@pytest.mark.parametrize("rho_mode", [FIXED_ALPHA, PDF_FAITHFUL])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_equivalence_mostly_static_stream(k, rho_mode):
+    p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
+    frames = _static_stream(np.random.default_rng(31), 200, 60)
+    first = _check_against_scalar(p, frames, exact=rho_mode == FIXED_ALPHA)
+    # Every frame takes the gathered branch, and each later slot that the
+    # three modes can fill does match.
+    assert np.all((first != 0).mean(axis=1) <= SPARSE_MISS_FRACTION)
+    assert np.unique(first[first > 0]).tolist() == list(range(1, min(k, 3)))
+
+
+@pytest.mark.parametrize("rho_mode", [FIXED_ALPHA, PDF_FAITHFUL])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_equivalence_switching_sparse_and_crowded(k, rho_mode):
+    p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
+    crowded = {5, 6, 17, 30, 31, 32, 45}
+    frames = _static_stream(np.random.default_rng(32), 200, 60, crowded)
+    first = _check_against_scalar(p, frames, exact=rho_mode == FIXED_ALPHA)
+    sparse = (first != 0).mean(axis=1) <= SPARSE_MISS_FRACTION
+    # The branch changes often, both ways.
+    assert np.count_nonzero(np.diff(sparse.astype(int))) >= 6
+
+
+@pytest.mark.parametrize("n_still", [19, 0])
+def test_dead_slot_is_never_matched(n_still):
+    # Slot 1 is dead: mean 0 and variance var_init = 225, so (5, 5, 5) lies
+    # well inside its match radius. The pixel must open a new component
+    # there instead. With 19 still pixels beside it only 1 in 20 misses
+    # slot 0 (gathered test of later slots); alone, it is all of them.
+    p = ModelParams(k=3)
+    still = np.full((n_still, 3), 100.0)
+    fm = FrameModel(p, n_still + 1)
+    fm.observe(np.vstack([still, [(200.0, 200.0, 200.0)]]))
+    assert fm.means[1, -1].tolist() == [0.0, 0.0, 0.0] and fm.variances[1, -1] == 225.0
+    labels, pos, b = fm.observe(np.vstack([still, [(5.0, 5.0, 5.0)]]))
+    assert fm.live_count[-1] == 2
+    assert labels[-1] == FOREGROUND and pos[-1] == 1
+    assert fm.means[1, -1].tolist() == [5.0, 5.0, 5.0]
+    assert fm.variances[1, -1] == p.var_init
+    model, s_label, s_pos, s_b = process_pixel(
+        init_pixel_model((200.0, 200.0, 200.0), p), (5.0, 5.0, 5.0), p
+    )
+    assert (labels[-1], pos[-1], b[-1]) == (s_label, s_pos, s_b)
+    assert [c.weight for c in model.components] == fm.weights[:2, -1].tolist()
 
 
 def _set_state(fm, models):
@@ -137,23 +218,7 @@ def test_equal_ranks_keep_slot_order():
 
 def test_equivalence_pdf_mode_near_exact():
     p = ModelParams(alpha=0.03, rho_mode=PDF_FAITHFUL)
-    n = 32
-    rng = np.random.default_rng(22)
-    frames = _frame_stream(rng, n, 80)
-    fm = FrameModel(p, n)
-    scalars = None
-    for z in frames:
-        labels, pos, b = fm.observe(z)
-        if scalars is None:
-            scalars = [init_pixel_model(tuple(z[j]), p) for j in range(n)]
-            continue
-        for j in range(n):
-            scalars[j], s_label, s_pos, s_b = process_pixel(scalars[j], tuple(z[j]), p)
-            assert (labels[j], pos[j], b[j]) == (s_label, s_pos, s_b)
-            for i, c in enumerate(scalars[j].components):
-                np.testing.assert_allclose(fm.weights[i, j], c.weight, rtol=1e-12)
-                np.testing.assert_allclose(fm.means[i, j], c.mean, rtol=1e-12)
-                np.testing.assert_allclose(fm.variances[i, j], c.variance, rtol=1e-12)
+    _check_against_scalar(p, _frame_stream(np.random.default_rng(22), 32, 80), exact=False)
 
 
 def test_first_observation_bootstraps_background():

@@ -171,6 +171,56 @@ def test_long_merges_match_flood_fill(mask, one_component, connectivity):
         assert got.max() == 1
 
 
+def _blobs_by_scan(labels, min_area=1):
+    """Blobs of a label map, one whole-raster scan per component."""
+    blobs = []
+    for cid in range(1, int(labels.max()) + 1):
+        ys, xs = np.nonzero(labels == cid)
+        if len(ys) >= min_area:
+            bbox = (int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
+            centroid = (float(xs.sum() / len(xs)), float(ys.sum() / len(ys)))
+            blobs.append(Blob(cid, len(ys), bbox, centroid))
+    return sorted(blobs, key=lambda b: (-b.area, b.id))
+
+
+def _mostly_empty_rows(seed, shape=(60, 40), fg_rows=6):
+    # About 90% of rows empty; the rest at random density, and sometimes
+    # next to each other.
+    rng = np.random.default_rng(seed)
+    m = np.zeros(shape, dtype=np.uint8)
+    for y in rng.choice(shape[0], fg_rows, replace=False):
+        m[y] = (rng.random(shape[1]) < rng.uniform(0.1, 0.9)) * 255
+    return m
+
+
+@pytest.mark.parametrize("connectivity", [FOUR, EIGHT])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param(["..###...", "........", "..###..."], id="one-empty-row"),
+        pytest.param([".##.....", "........", "........", "........", "..##....", "...#...#"], id="empty-rows"),
+        pytest.param(["#..#...#", "........", "........", "........", "#..##..#"], id="first-and-last-rows"),
+        pytest.param(["........", ".#.#.#..", "........", "#.#.#.#.", "........"], id="alternate-rows"),
+    ],
+)
+def test_sparse_rows_match_flood_fill(rows, connectivity):
+    m = _mask(rows)
+    got = label_components(m, connectivity)
+    want = np.array(flood_fill_labels(m.tolist(), connectivity))
+    assert np.array_equal(got, want)
+    assert extract_blobs(got, min_area=1) == _blobs_by_scan(want)
+
+
+@pytest.mark.parametrize("connectivity", [FOUR, EIGHT])
+def test_mostly_empty_rows_match_flood_fill(connectivity):
+    for seed in range(200):
+        m = _mostly_empty_rows(seed)
+        got = label_components(m, connectivity)
+        want = np.array(flood_fill_labels(m.tolist(), connectivity))
+        assert np.array_equal(got, want), f"seed {seed}"
+        assert extract_blobs(got, min_area=2) == _blobs_by_scan(want, min_area=2), f"seed {seed}"
+
+
 def test_bool_and_uint8_masks_label_alike():
     m = np.random.default_rng(24).random((30, 40)) < 0.4
     for connectivity in (FOUR, EIGHT):
