@@ -62,7 +62,6 @@ class FrameModel:
         self.variances = np.full((k, n_pixels), params.var_init, dtype=np.float64)
         self.live_count = np.zeros(n_pixels, dtype=np.int64)
         self.started = False
-        self._slots = np.arange(k, dtype=np.int64)
 
     def observe(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance every pixel model by one frame.
@@ -100,8 +99,7 @@ class FrameModel:
         diff = np.empty((n, 3))
         np.subtract(z, mu[0], out=diff)
         _sq_norm(diff, d2[0])
-        unmatched = d2[0] < limit * var[0]
-        np.logical_not(unmatched, out=unmatched)
+        unmatched = ~(d2[0] < limit * var[0])
         # jm counts the slots before the first match: the first matching
         # slot (unused where nothing matched).
         jm = np.zeros(n, dtype=np.int64)
@@ -128,15 +126,12 @@ class FrameModel:
                 rest = rest[~hit]
         else:
             # Many misses: the gathers would cost more than testing slots
-            # 1..k-1 of every pixel in one block.
+            # 1..k-1 of every pixel densely.
             for j in range(1, k):
                 np.subtract(z, mu[j], out=diff)
                 _sq_norm(diff, d2[j])
-            matched = d2[1:] < limit * var[1:]
-            matched &= self._slots[1:, None] < count
-            for j in range(1, k):
                 jm += unmatched
-                unmatched &= ~matched[j - 1]
+                unmatched &= ~((d2[j] < limit * var[j]) & (count > j))
         im = np.flatnonzero(~unmatched)
         iu = np.flatnonzero(unmatched)
 
