@@ -15,8 +15,8 @@ most SPARSE_MISS_FRACTION of the pixels missed it, as on a mostly static
 scene, slot j is tested only for the pixels that missed slots 0..j-1 and
 have more than j live slots, on rows gathered by index. When more
 missed, the gathers would cost more than they save, and slots 1..k-1 of
-every pixel are tested in one dense block. The one threshold picks the
-cheaper of the two per frame; both find the same first matching slot.
+every pixel are tested densely. One threshold on that fraction picks
+the branch once per frame; both find the same first matching slot.
 
 State is updated in place. Per-pixel slot reads and writes go through
 flat indices (slot * n + pixel) into raveled views, and only for the
@@ -92,8 +92,8 @@ class FrameModel:
         mu_flat = mu.reshape(-1, 3)
         var_flat = var.reshape(-1)
 
-        # Squared distances through one (n, 3) temporary. Slot 0 is live for
-        # every started pixel, so it is tested densely.
+        # Slot 0 is live for every started pixel, so it is tested densely,
+        # through an (n, 3) temporary that the dense branch reuses.
         limit = p.d * p.d
         d2 = np.empty((k, n))
         diff = np.empty((n, 3))
