@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import resource
 import time
 
 import numpy as np
@@ -21,7 +22,10 @@ def benchmark(
 
     Each rep uses a fresh pipeline over the same frames. Reports per-rep
     fps, their mean and minimum, the p95 frame latency of the last rep,
-    and how the last rep's time splits across the four compute stages.
+    how the last rep's time splits across the four compute stages, and
+    the minor page faults the process took per frame of the last rep.
+    A frame that allocates fresh memory pays for those faults: steady
+    state should take few.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -34,6 +38,7 @@ def benchmark(
     last_pipeline = None
     last_times: list[float] = []
     for _ in range(reps):
+        faults_before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         pipeline = FramePipeline(config, spec.width, spec.height)
         times = []
         for frame in frames:
@@ -41,6 +46,7 @@ def benchmark(
             pipeline.process(frame)
             times.append(time.perf_counter() - t0)
         pipeline.close()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults_before
         fps.append(len(frames) / sum(times))
         last_pipeline = pipeline
         last_times = times
@@ -56,4 +62,5 @@ def benchmark(
         "p95_frame_ms": float(np.percentile(np.array(last_times) * 1000.0, 95)),
         "total_seconds": sum(last_times),
         "stages": {name: stage_seconds[name] for name in STAGE_NAMES},
+        "minor_faults_per_frame": faults / len(frames),
     }

@@ -28,9 +28,23 @@ as the scalar path's stable sort does.
 
 Slots beyond a pixel's live count hold weight exactly 0.0 and never
 influence sums, matching or the background prefix.
+
+Each FrameModel owns the work buffers of its observe() calls: the d2
+block, two (n, 3) row buffers, and n-sized float, index and mask
+buffers, allocated on the first observe() after the seeding one and
+reused for every frame after that, through out= arguments and [:m]
+views. The reason is memory, not arithmetic: a steady frame used to
+allocate about 8.8 times 24 bytes a pixel of temporaries, which the C
+allocator gave back to the system between frames, so that every frame
+faulted in fresh zeroed pages again (about 7,400 minor faults a frame
+at 640x480). The buffers are per model, never shared, since band models
+run on threads at once. Construction and the seeding frame do not touch
+them. The arrays observe() returns are fresh and belong to the caller.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -38,7 +52,7 @@ from .gmm import BACKGROUND, FOREGROUND, GAUSS_NORM_3D, PDF_FAITHFUL, ModelParam
 
 # Slots 1..k-1 are tested on gathered rows when at most this fraction of
 # pixels missed slot 0, and as one dense block otherwise.
-SPARSE_MISS_FRACTION = 0.1
+SPARSE_MISS_FRACTION = 0.2
 
 
 class FrameModel:
@@ -62,13 +76,15 @@ class FrameModel:
         self.variances = np.full((k, n_pixels), params.var_init, dtype=np.float64)
         self.live_count = np.zeros(n_pixels, dtype=np.int64)
         self.started = False
+        self._scratch: _Scratch | None = None
 
     def observe(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance every pixel model by one frame.
 
         z is (n, 3) float64. Returns (labels, pos, b): uint8 labels
         (BACKGROUND/FOREGROUND), the post-sort slot that absorbed each
-        pixel's value, and the per-pixel background prefix size.
+        pixel's value, and the per-pixel background prefix size. All
+        three are new arrays; z is only read.
         """
         p = self.params
         n = self.n
@@ -82,6 +98,9 @@ class FrameModel:
             labels = np.full(n, BACKGROUND, dtype=np.uint8)
             return labels, np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
 
+        if self._scratch is None:
+            self._scratch = _Scratch(p.k, n)
+        s = self._scratch
         k = p.k
         w = self.weights
         mu = self.means
@@ -90,98 +109,150 @@ class FrameModel:
         # Flat views: slot j of pixel i sits at j * n + i.
         w_flat = w.reshape(-1)
         mu_flat = mu.reshape(-1, 3)
+        mu_rows = _rows(mu_flat)
         var_flat = var.reshape(-1)
 
         # Slot 0 is live for every started pixel, so it is tested densely,
-        # through an (n, 3) temporary that the dense branch reuses.
+        # through an (n, 3) buffer that the dense branch reuses.
         limit = p.d * p.d
-        d2 = np.empty((k, n))
-        diff = np.empty((n, 3))
+        d2 = s.block[: k * n].reshape(k, n)
+        diff = s.rows[0]
         np.subtract(z, mu[0], out=diff)
         _sq_norm(diff, d2[0])
-        unmatched = ~(d2[0] < limit * var[0])
+        unmatched = np.less(d2[0], np.multiply(limit, var[0], out=s.f0), out=s.m0)
+        np.logical_not(unmatched, out=unmatched)
         # jm counts the slots before the first match: the first matching
-        # slot (unused where nothing matched).
+        # slot (unused where nothing matched). It becomes the returned pos.
         jm = np.zeros(n, dtype=np.int64)
-        if np.count_nonzero(unmatched) <= SPARSE_MISS_FRACTION * n:
+        n_miss = np.count_nonzero(unmatched)
+        if n_miss <= SPARSE_MISS_FRACTION * n:
             # Few misses: test slot j only for pixels that missed slots
             # 0..j-1 and have more than j live slots, on gathered rows. A
-            # match keeps its d2 in the block for the pdf mode.
+            # match keeps its d2 in the block for the pdf mode. rest moves
+            # between two index buffers, since a compaction cannot write
+            # over its own input.
             d2_flat = d2.reshape(-1)
-            rest = np.flatnonzero(unmatched)
+            held, spare = s.i0, s.i1
+            rest = np.compress(unmatched, s.index, out=held[:n_miss])
             for j in range(1, k):
-                rest = rest[count[rest] > j]
-                if not rest.size:
+                live = np.greater(_take(count, rest, s.i2), j, out=s.m1[: rest.size])
+                r = np.count_nonzero(live)
+                if not r:
                     break
-                f = j * n + rest
-                dz = np.take(z, rest, axis=0)
-                dz -= np.take(mu_flat, f, axis=0)
-                d2_j = np.empty(rest.size)
+                held, spare = spare, held
+                rest = np.compress(live, rest, out=held[:r])
+                f = np.add(rest, j * n, out=s.i2[:r])
+                dz = _take(z, rest, s.rows[0])
+                dz -= _take(mu_flat, f, s.rows[1])
+                d2_j = s.f0[:r]
                 _sq_norm(dz, d2_j)
-                hit = d2_j < limit * var_flat[f]
-                found = rest[hit]
+                lim_j = _take(var_flat, f, s.f1)
+                hit = np.less(d2_j, np.multiply(limit, lim_j, out=lim_j), out=s.m1[:r])
+                n_hit = np.count_nonzero(hit)
+                found = np.compress(hit, rest, out=s.i3[:n_hit])
                 unmatched[found] = False
                 jm[found] = j
-                d2_flat[f[hit]] = d2_j[hit]
-                rest = rest[~hit]
+                d2_hit = np.compress(hit, d2_j, out=s.f1[:n_hit])
+                d2_flat[np.compress(hit, f, out=s.i3[:n_hit])] = d2_hit
+                held, spare = spare, held
+                rest = np.compress(np.logical_not(hit, out=hit), rest, out=held[: r - n_hit])
         else:
             # Many misses: the gathers would cost more than testing slots
             # 1..k-1 of every pixel densely.
+            hit, live = s.m1, s.m2
             for j in range(1, k):
                 np.subtract(z, mu[j], out=diff)
                 _sq_norm(diff, d2[j])
                 jm += unmatched
-                unmatched &= ~((d2[j] < limit * var[j]) & (count > j))
-        im = np.flatnonzero(~unmatched)
-        iu = np.flatnonzero(unmatched)
+                np.less(d2[j], np.multiply(limit, var[j], out=s.f0), out=hit)
+                hit &= np.greater(count, j, out=live)
+                unmatched &= np.logical_not(hit, out=hit)
+        n_u = np.count_nonzero(unmatched)
+        m = n - n_u
+        im = np.compress(np.logical_not(unmatched, out=s.m1), s.index, out=s.i0[:m])
+        iu = np.compress(unmatched, s.index, out=s.i0[m:])
+        fm = _take(jm, im, s.i1)
+        fm *= n
+        fm += im
+        pdf_mode = p.rho_mode == PDF_FAITHFUL
+        if pdf_mode:
+            # Taken now: the block holds other things until the sort.
+            d2_m = _take(d2.reshape(-1), fm, s.f0)
 
         # Unmatched pixels go to the next free slot, else to the lowest-weight
         # one (first on ties, like the scalar scan), chosen before any decay.
-        count_u = count[iu]
-        jt = count_u.copy()
-        full = np.flatnonzero(count_u == k)
-        jt[full] = np.argmin(w[:, iu[full]], axis=0)
+        # A pixel that is not full gains the slot.
+        jt = _take(count, iu, s.i2)
+        full = np.equal(jt, k, out=s.m1[:n_u])
+        grown = np.add(jt, 1, out=s.i3[:n_u])
+        count[iu] = np.minimum(grown, k, out=grown)
+        n_full = np.count_nonzero(full)
+        if n_full:
+            w_full = _take(w, np.compress(full, iu, out=s.i3[:n_full]), s.block, axis=1)
+            # argmin over axis 0, which would copy the block: the strictly
+            # lower weight wins, so ties keep the first slot.
+            low = w_full[0]
+            pick = s.i3[:n_full]
+            pick.fill(0)
+            lower = s.m2[:n_full]
+            for j in range(1, k):
+                pick[np.less(w_full[j], low, out=lower)] = j
+                np.minimum(low, w_full[j], out=low)
+            jt[full] = pick
+        jm[iu] = jt
 
         # Every pixel decays all its live weights. Dead slots stay 0.0, and
         # an unmatched pixel's replaced slot is overwritten below.
         w *= 1.0 - p.alpha
 
         # Matched pixels: reward the match, pull its mean and variance to z.
-        fm = jm[im] * n + im
-        z_m = np.take(z, im, axis=0)
-        w_flat[fm] += p.alpha
-        mu_j = np.take(mu_flat, fm, axis=0)
-        var_j = var_flat[fm]
-        if p.rho_mode == PDF_FAITHFUL:
-            d2_j = d2.reshape(-1)[fm]
-            pdf_j = GAUSS_NORM_3D * var_j**-1.5 * np.exp(-d2_j / (2.0 * var_j))
-            rho_j = np.clip(p.alpha * pdf_j, 0.0, 1.0)
+        z_m = _take(z, im, s.rows[0])
+        w_m = _take(w_flat, fm, s.f1)
+        w_m += p.alpha
+        w_flat[fm] = w_m
+        mu_j = _take(mu_flat, fm, s.rows[1])
+        var_j = _take(var_flat, fm, s.f1)
+        if pdf_mode:
+            # alpha * GAUSS_NORM_3D * var_j**-1.5 * exp(-d2_m / (2 var_j)),
+            # clipped to [0, 1].
+            rho_j = np.power(var_j, -1.5, out=s.f2[:m])
+            rho_j *= GAUSS_NORM_3D
+            np.negative(d2_m, out=d2_m)
+            d2_m /= np.multiply(2.0, var_j, out=s.f3[:m])
+            rho_j *= np.exp(d2_m, out=s.f3[:m])
+            rho_j *= p.alpha
+            np.clip(rho_j, 0.0, 1.0, out=rho_j)
             rho_col = rho_j[:, None]
+            keep = np.subtract(1.0, rho_j, out=s.f3[:m])
+            keep_col = keep[:, None]
         else:
             rho_j = rho_col = p.alpha
-        mu_j *= 1.0 - rho_col
-        mu_j += rho_col * z_m
+            keep = keep_col = 1.0 - p.alpha
+        mu_j *= keep_col
+        mu_j += np.multiply(rho_col, z_m, out=s.block[: 3 * m].reshape(m, 3))
         # Variance is pulled toward the squared distance from the new mean.
         dn = np.subtract(z_m, mu_j, out=z_m)
         dn *= dn
-        d2n = dn[:, 0] + dn[:, 1]
+        d2n = np.add(dn[:, 0], dn[:, 1], out=s.f0[:m])
         d2n += dn[:, 2]
         d2n *= rho_j
-        var_j *= 1.0 - rho_j
+        var_j *= keep
         var_j += d2n
-        _rows(mu_flat)[fm] = _rows(mu_j)
+        mu_rows[fm] = _rows(mu_j)
         var_flat[fm] = np.maximum(var_j, p.var_min, out=var_j)
 
         # Unmatched pixels: fresh component in the target slot, then
         # renormalize. Dead slots are exactly zero, so the slot-order sum
         # equals the scalar running total and dividing them leaves zero.
-        ft = jt * n + iu
+        ft = jt
+        ft *= n
+        ft += iu
         w_flat[ft] = p.w_init
-        mu_flat[ft] = z[iu]
+        mu_rows[ft] = _rows(_take(z, iu, s.rows[0]))
         var_flat[ft] = p.var_init
-        count[iu[count_u < k]] += 1
-        w_u = w[:, iu]
-        total = w_u[0].copy()
+        w_u = _take(w, iu, s.block, axis=1)
+        total = s.f0[:n_u]
+        np.copyto(total, w_u[0])
         for j in range(1, k):
             total += w_u[j]
         w_u /= total
@@ -194,35 +265,80 @@ class FrameModel:
         # live slot, whose rank is >= 0.0, so they never move up. pos
         # follows the absorbing component through the swaps.
         pos = jm
-        pos[iu] = jt
-        rank = np.sqrt(var)
+        rank = np.sqrt(var, out=s.block[: k * n].reshape(k, n))
         np.divide(w, rank, out=rank)
         rank_flat = rank.reshape(-1)
-        mu_rows = _rows(mu_flat)
+        row_a, row_b = _rows(s.rows[0]), _rows(s.rows[1])
         for top in range(k - 1, 0, -1):
             for a in range(top):
-                sw = np.flatnonzero(rank[a + 1] > rank[a])
-                if not sw.size:
+                up = np.greater(rank[a + 1], rank[a], out=s.m1)
+                n_sw = np.count_nonzero(up)
+                if not n_sw:
                     continue
-                fa = a * n + sw
-                fb = fa + n
-                for arr in (w_flat, var_flat, rank_flat, mu_rows):
-                    arr[fa], arr[fb] = arr[fb], arr[fa]
-                pos_sw = pos[sw]
-                pos[sw] = np.where(pos_sw == a, a + 1, np.where(pos_sw == a + 1, a, pos_sw))
+                sw = np.compress(up, s.index, out=s.i0[:n_sw])
+                fa = np.add(sw, a * n, out=s.i1[:n_sw])
+                fb = np.add(sw, (a + 1) * n, out=s.i2[:n_sw])
+                for arr, buf_a, buf_b in (
+                    (w_flat, s.f0, s.f1),
+                    (var_flat, s.f0, s.f1),
+                    (rank_flat, s.f0, s.f1),
+                    (mu_rows, row_a, row_b),
+                ):
+                    at_a = _take(arr, fa, buf_a)
+                    arr[fa] = _take(arr, fb, buf_b)
+                    arr[fb] = at_a
+                # pos a becomes a + 1 and pos a + 1 becomes a.
+                pos_sw = _take(pos, sw, s.i3)
+                to_b = np.equal(pos_sw, a, out=s.m1[:n_sw])
+                to_a = np.equal(pos_sw, a + 1, out=s.m2[:n_sw])
+                pos_sw += to_b
+                pos_sw -= to_a
+                pos[sw] = pos_sw
 
         # Background prefix: the first slot whose running weight sum exceeds
         # t. The sum never falls, so that slot's index is the number of
         # sums at or below t; the live count is the fallback.
-        running = w[0].copy()
-        b = (running <= p.t) + 1
+        running = s.f0
+        np.copyto(running, w[0])
+        b = np.less_equal(running, p.t, out=s.m1) + 1
         for j in range(1, k):
             running += w[j]
-            b += running <= p.t
+            b += np.less_equal(running, p.t, out=s.m1)
         np.minimum(b, count, out=b)
 
-        labels = np.where(pos < b, BACKGROUND, FOREGROUND).astype(np.uint8)
+        labels = np.where(
+            np.less(pos, b, out=s.m1), np.uint8(BACKGROUND), np.uint8(FOREGROUND)
+        )
         return labels, pos, b
+
+
+class _Scratch:
+    """Work buffers of one FrameModel's observe(), each sized for all n
+    pixels; a step over m pixels uses [:m] views. Steps that do not overlap
+    share a buffer, so the whole set stays well under the temporaries it
+    replaces."""
+
+    def __init__(self, k: int, n: int):
+        self.index = np.arange(n)
+        # Squared distances (k, n), then the gathered weights of the slot
+        # choice and the renormalization, the rho * z rows, and the ranks.
+        self.block = np.empty(max(k, 3) * n)
+        self.rows = np.empty((2, n, 3))
+        self.f0, self.f1, self.f2, self.f3 = np.empty((4, n))
+        self.i0, self.i1, self.i2, self.i3 = np.empty((4, n), dtype=np.int64)
+        self.m0, self.m1, self.m2 = np.empty((3, n), dtype=bool)
+
+
+def _take(a: np.ndarray, idx: np.ndarray, buf: np.ndarray, axis: int = 0) -> np.ndarray:
+    """np.take(a, idx, axis) written into the leading part of buf.
+
+    mode="clip" because mode="raise" copies its output first; every index
+    here is in range, so both give the same values.
+    """
+    shape = list(a.shape)
+    shape[axis] = idx.size
+    out = buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+    return np.take(a, idx, axis=axis, out=out, mode="clip")
 
 
 def _sq_norm(diff: np.ndarray, out: np.ndarray) -> None:

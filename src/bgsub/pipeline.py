@@ -13,6 +13,13 @@ feeding a bounded queue (queue_depth), and mask and overlay files are
 written in order by a writer thread fed the same way, so that creating
 them overlaps the next frame's compute; timing covers compute only, so
 neither knob affects results, only scheduling.
+
+Each FramePipeline owns one float64 (h*w, 3) copy of the frame, made at
+construction and refilled by every process() call, and each band model
+owns its own work buffers (see bgsub.frame_model). This keeps a steady
+frame from allocating full-raster temporaries: once freed, those go back
+to the system, and the next frame pays page faults to get them again.
+The arrays in a FrameResult are new for every frame.
 """
 
 from __future__ import annotations
@@ -72,6 +79,8 @@ class FramePipeline:
         self.models = [
             FrameModel(config.model, (b - a) * width) for a, b in self._bands
         ]
+        # The frame as float64, refilled by every process() call.
+        self._z = np.empty((height * width, 3))
         self.tracker = EventTracker(config.events, config.zones)
         self._pool = ThreadPoolExecutor(len(self._bands)) if len(self._bands) > 1 else None
         self.frame_index = 0
@@ -98,16 +107,19 @@ class FramePipeline:
             raise ValueError(f"frame {self.frame_index}: dtype {frame.dtype}, expected uint8")
         cfg = self.config
         h, w = self.height, self.width
-        z = frame.reshape(-1, 3).astype(np.float64)
+        z = self._z
+        np.copyto(z, frame.reshape(-1, 3))
         band_z = [z[a * w : b * w] for a, b in self._bands]
 
         t0 = time.perf_counter()
+        # Only labels and b go on; pos is dropped at once, so that it does
+        # not add to the frame's peak memory.
         observed = self._map_bands(
-            lambda model, zb: model.observe(zb), list(zip(self.models, band_z))
+            lambda model, zb: model.observe(zb)[::2], list(zip(self.models, band_z))
         )
         t1 = time.perf_counter()
         refined = self._map_bands(
-            lambda model, zb, obs: refine_classes(obs[0], zb, model.means, obs[2], cfg.shadow),
+            lambda model, zb, obs: refine_classes(obs[0], zb, model.means, obs[1], cfg.shadow),
             list(zip(self.models, band_z, observed)),
         )
         classes = np.concatenate(refined).reshape(h, w)

@@ -24,6 +24,7 @@ def test_report_fields():
     assert report["min_fps"] <= report["mean_fps"]
     assert report["p95_frame_ms"] > 0.0
     assert report["total_seconds"] > 0.0
+    assert report["minor_faults_per_frame"] >= 0.0
 
 
 def test_stage_split_covers_total():

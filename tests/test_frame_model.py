@@ -1,5 +1,8 @@
 """Vectorized engine vs the scalar reference, plus its own edge cases."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -269,3 +272,79 @@ def test_shape_validation():
         fm.observe(np.zeros((9, 3)))
     with pytest.raises(ValueError):
         FrameModel(ModelParams(), 0)
+
+
+def _state(fm):
+    return [a.copy() for a in (fm.weights, fm.means, fm.variances, fm.live_count)]
+
+
+@pytest.mark.parametrize("crowded", [False, True])
+def test_results_stay_caller_owned(crowded):
+    # observe() works in buffers it keeps between frames; what it returns
+    # must not be one of them. Static frames take the gathered branch,
+    # crowded ones the dense branch.
+    rng = np.random.default_rng(41)
+    n = 300
+    frames = _frame_stream(rng, n, 8) if crowded else _static_stream(rng, n, 8)
+    fm = FrameModel(ModelParams(k=3, alpha=0.3), n)
+    for z in frames[:3]:
+        fm.observe(z)
+    misses = (_first_match(fm, frames[3]) != 0).mean()
+    assert (misses > SPARSE_MISS_FRACTION) == crowded
+    kept = fm.observe(frames[3])
+    copies = [a.copy() for a in kept]
+    later = [a for z in frames[4:6] for a in fm.observe(z)]
+    for got, want in zip(kept, copies):
+        assert np.array_equal(got, want)
+    state = [fm.weights, fm.means, fm.variances, fm.live_count]
+    for a in kept:
+        assert not any(np.shares_memory(a, other) for other in later + state)
+
+
+def _run_alone(p, frames):
+    fm = FrameModel(p, len(frames[0]))
+    outs = [fm.observe(z) for z in frames]
+    return outs, _state(fm)
+
+
+def _assert_same_run(fm, outs, want):
+    want_outs, want_state = want
+    for got, expect in zip(outs, want_outs):
+        assert all(np.array_equal(g, e) for g, e in zip(got, expect))
+    assert all(np.array_equal(g, e) for g, e in zip(_state(fm), want_state))
+
+
+@pytest.mark.parametrize("rho_mode", [FIXED_ALPHA, PDF_FAITHFUL])
+@pytest.mark.parametrize("k", [3, 5])
+def test_models_share_no_buffers(k, rho_mode):
+    # No two models may share work buffers. Two models of different sizes,
+    # stepped in turn, must end as each does when stepped alone; so must
+    # four, two of each size, that run on threads at once, as band models
+    # do with workers > 1.
+    p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
+    rng = np.random.default_rng(43)
+    streams = [_frame_stream(rng, 90, 30), _static_stream(rng, 140, 30, crowded={9, 10, 20})]
+    alone = [_run_alone(p, frames) for frames in streams]
+
+    models = [FrameModel(p, len(frames[0])) for frames in streams]
+    outs = [[], []]
+    for f_idx in range(30):
+        for i in (0, 1):
+            outs[i].append(models[i].observe(streams[i][f_idx]))
+    for i in (0, 1):
+        _assert_same_run(models[i], outs[i], alone[i])
+
+    models = [FrameModel(p, len(streams[i % 2][0])) for i in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [
+                pool.submit(lambda fm, frames: [fm.observe(z) for z in frames], fm, streams[i % 2])
+                for i, fm in enumerate(models)
+            ]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    for i, fm in enumerate(models):
+        _assert_same_run(fm, threaded[i], alone[i % 2])

@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import threading
+import tracemalloc
 import types
 
 import numpy as np
@@ -18,10 +19,20 @@ from bgsub.errors import (
     UnsupportedMaxval,
 )
 from bgsub.events import EventParams, Zone
-from bgsub.gmm import BACKGROUND, FOREGROUND
+from bgsub.frame_model import SPARSE_MISS_FRACTION
+from bgsub.gmm import BACKGROUND, FOREGROUND, ModelParams
 from bgsub.netpbm import decode_pgm, decode_ppm, encode_mask, encode_ppm
 from bgsub.pipeline import STAGE_NAMES, FramePipeline, run_pipeline
-from bgsub.scenes import Actor, SceneSpec, ShadowPatch, Waypoint, generate_scene, write_scene
+from bgsub.scenes import (
+    Actor,
+    Flicker,
+    SceneSpec,
+    ShadowPatch,
+    Waypoint,
+    generate_scene,
+    standard_scene,
+    write_scene,
+)
 from bgsub.shadow import SHADOW
 
 
@@ -404,5 +415,70 @@ def test_more_workers_than_rows_collapses():
     try:
         result = pipeline.process(np.zeros((4, 8, 3), dtype=np.uint8))
         assert result.classes.shape == (4, 8)
+    finally:
+        pipeline.close()
+
+
+def _busy_scene():
+    """A 160x120 room whose left 100 columns flicker between two grays on
+    every frame, with a model fast enough (alpha 0.3) to have learned both
+    by frame 10, and one actor. About 65% of the pixels then miss slot 0
+    on every frame, so the model tests later slots densely, yet they stay
+    background: foreground pixels would measure the shadow layer's own
+    per-pixel temporaries instead."""
+    actor = Actor(size=(20, 20), color=(200, 40, 40), waypoints=(Waypoint(0, 100, 80), Waypoint(29, 130, 10)))
+    flicker = Flicker(rect=(0, 0, 99, 119), colors=((120, 120, 120), (170, 170, 170)), period=1)
+    spec = SceneSpec(width=160, height=120, frames=30, actors=(actor,), flickers=(flicker,))
+    return spec, RunConfig(model=ModelParams(alpha=0.3))
+
+
+def _slot0_miss_fraction(pipeline, frame):
+    model = pipeline.models[0]
+    diff = frame.reshape(-1, 3) - model.means[0]
+    diff *= diff
+    d2 = diff[:, 0] + diff[:, 1] + diff[:, 2]
+    return np.mean(~(d2 < model.params.d**2 * model.variances[0]))
+
+
+@pytest.mark.parametrize("busy", [False, True])
+def test_steady_state_frames_allocate_little(busy):
+    # The model and the pipeline keep their per-frame work buffers, so a
+    # steady-state frame allocates little beyond the arrays it hands back.
+    # A per-frame temporary of every float row would show here: the frame
+    # peak was 8.8 x 24 bytes a pixel before the buffers were kept.
+    spec, config = _busy_scene() if busy else (standard_scene(), RunConfig())
+    frames, _ = generate_scene(spec, seed=1)
+    n = spec.width * spec.height
+    pipeline = FramePipeline(config, spec.width, spec.height)
+    try:
+        for frame in frames[:10]:
+            pipeline.process(frame)
+        for i, frame in enumerate(frames[10:], 10):
+            if busy:
+                assert _slot0_miss_fraction(pipeline, frame) > SPARSE_MISS_FRACTION
+            tracemalloc.start()
+            try:
+                pipeline.process(frame)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 24 * n, f"frame {i}: {peak / (24 * n):.2f} x 24 bytes a pixel"
+    finally:
+        pipeline.close()
+
+
+@pytest.mark.parametrize("busy", [False, True])
+def test_frame_classes_stay_caller_owned(busy):
+    spec, config = _busy_scene() if busy else (standard_scene(), RunConfig())
+    frames, _ = generate_scene(spec, seed=1)
+    pipeline = FramePipeline(config, spec.width, spec.height)
+    try:
+        for frame in frames[:20]:
+            pipeline.process(frame)
+        kept = pipeline.process(frames[20]).classes
+        copy = kept.copy()
+        for frame in frames[21:23]:
+            pipeline.process(frame)
+        assert np.array_equal(kept, copy)
     finally:
         pipeline.close()
