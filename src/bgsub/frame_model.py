@@ -33,11 +33,11 @@ Each FrameModel owns the work buffers of its observe() calls: the d2
 block, two (n, 3) row buffers, and n-sized float, index and mask
 buffers, allocated on the first observe() after the seeding one and
 reused for every frame after that, through out= arguments and [:m]
-views. The reason is memory, not arithmetic: a steady frame used to
-allocate about 8.8 times 24 bytes a pixel of temporaries, which the C
-allocator gave back to the system between frames, so that every frame
-faulted in fresh zeroed pages again (about 7,400 minor faults a frame
-at 640x480). The buffers are per model, never shared, since band models
+views. The reason is memory, not arithmetic: fresh temporaries for
+every frame (about 8.8 times 24 bytes a pixel) would be handed back to
+the system by the C allocator between frames, and every frame would
+fault in fresh zeroed pages again (about 7,400 minor faults a frame at
+640x480). The buffers are per model, never shared, since band models
 run on threads at once. Construction and the seeding frame do not touch
 them. The arrays observe() returns are fresh and belong to the caller.
 """
@@ -315,8 +315,8 @@ class FrameModel:
 class _Scratch:
     """Work buffers of one FrameModel's observe(), each sized for all n
     pixels; a step over m pixels uses [:m] views. Steps that do not overlap
-    share a buffer, so the whole set stays well under the temporaries it
-    replaces."""
+    share a buffer, so the set (about 147 bytes a pixel at k = 3) is
+    smaller than the temporaries a frame allocated without it."""
 
     def __init__(self, k: int, n: int):
         self.index = np.arange(n)
