@@ -444,8 +444,9 @@ def _slot0_miss_fraction(pipeline, frame):
 def test_steady_state_frames_allocate_little(busy):
     # The model and the pipeline keep their per-frame work buffers, so a
     # steady-state frame allocates little beyond the arrays it hands back.
-    # A per-frame temporary of every float row would show here: the frame
-    # peak was 8.8 x 24 bytes a pixel before the buffers were kept.
+    # Fresh full-raster temporaries would show here: without kept buffers
+    # a steady frame peaks near 8.8 x 24 bytes a pixel. The standard scene
+    # takes the gathered branch, the busy one the dense branch.
     spec, config = _busy_scene() if busy else (standard_scene(), RunConfig())
     frames, _ = generate_scene(spec, seed=1)
     n = spec.width * spec.height
@@ -454,8 +455,7 @@ def test_steady_state_frames_allocate_little(busy):
         for frame in frames[:10]:
             pipeline.process(frame)
         for i, frame in enumerate(frames[10:], 10):
-            if busy:
-                assert _slot0_miss_fraction(pipeline, frame) > SPARSE_MISS_FRACTION
+            assert (_slot0_miss_fraction(pipeline, frame) > SPARSE_MISS_FRACTION) == busy
             tracemalloc.start()
             try:
                 pipeline.process(frame)
