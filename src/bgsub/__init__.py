@@ -1,78 +1,25 @@
 """Adaptive background subtraction with shadow handling, blobs and events."""
 
-from .config import EmitFlags, RunConfig, SegmentationParams, config_from_dict, load_config
-from .events import Event, EventParams, EventTracker, Zone
+from .config import EmitFlags, RunConfig, SegmentationParams
+from .events import EventParams, Zone
 from .frame_model import FrameModel
-from .gmm import (
-    BACKGROUND,
-    FOREGROUND,
-    GaussianComponent,
-    ModelParams,
-    PixelModel,
-    background_count,
-    component_pdf,
-    init_pixel_model,
-    match_gaussian,
-    process_pixel,
-    rho_for,
-    update_on_match,
-    update_on_no_match,
-)
-from .metrics import score
+from .gmm import ModelParams
 from .pipeline import FramePipeline, FrameResult, run_pipeline
-from .scenes import Actor, SceneSpec, Waypoint, generate_scene, standard_scene
-from .segmentation import Blob, extract_blobs, label_components
-from .shadow import (
-    SHADOW,
-    ShadowParams,
-    brightness_distortion,
-    chromaticity_distortion,
-    is_shadow_point,
-    refine_classes,
-    refine_label,
-)
+from .scenes import generate_scene, standard_scene
+from .shadow import ShadowParams
 
 __all__ = [
-    "BACKGROUND",
-    "FOREGROUND",
-    "SHADOW",
-    "Actor",
-    "Blob",
     "EmitFlags",
-    "Event",
     "EventParams",
-    "EventTracker",
     "FrameModel",
     "FramePipeline",
     "FrameResult",
-    "GaussianComponent",
     "ModelParams",
-    "PixelModel",
     "RunConfig",
-    "SceneSpec",
     "SegmentationParams",
     "ShadowParams",
-    "Waypoint",
     "Zone",
-    "background_count",
-    "brightness_distortion",
-    "chromaticity_distortion",
-    "component_pdf",
-    "config_from_dict",
-    "extract_blobs",
     "generate_scene",
-    "init_pixel_model",
-    "is_shadow_point",
-    "label_components",
-    "load_config",
-    "match_gaussian",
-    "process_pixel",
-    "refine_classes",
-    "refine_label",
-    "rho_for",
     "run_pipeline",
-    "score",
     "standard_scene",
-    "update_on_match",
-    "update_on_no_match",
 ]

@@ -17,10 +17,6 @@ class UnsupportedMaxval(BgsubError):
     """Netpbm maxval other than 255."""
 
 
-class DegenerateBackground(BgsubError):
-    """Background color too close to black for distortion geometry."""
-
-
 class DimensionMismatch(BgsubError):
     """Two rasters that must agree in shape do not."""
 

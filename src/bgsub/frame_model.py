@@ -2,12 +2,19 @@
 
 Holds the per-pixel Gaussian mixtures of an entire frame (or a band of
 rows) in numpy arrays and advances all of them in one pass per frame.
-The arithmetic mirrors the scalar operations in :mod:`bgsub.gmm`
-operation for operation, including summation order and tie-breaking, so
-that in fixed-alpha mode both paths produce bit-identical state. The
-pdf-scaled rho mode can differ from the scalar path by a final unit in
-the last place because numpy's vectorized exp is not guaranteed to round
-identically to math.exp.
+Per pixel, one step is: find the highest-ranked live component within d
+sigmas of the sample; if there is one, decay every weight by (1 - alpha),
+add alpha to the match and blend its mean and variance toward the sample
+(the variance against the already-blended mean); if not, put a fresh
+(w_init, z, var_init) component in the next free slot or over the
+lowest-weight one, decay the others and renormalize. Then restore the
+rank order and take the shortest prefix whose weights exceed t as
+background. The operation order (distance sums, decay before reward,
+summation order, tie-breaking) is fixed: in fixed-alpha mode the state
+is bit-identical to a plain per-pixel loop over these steps, which the
+tests hold it to. In the pdf-scaled rho mode the state can differ from
+such a loop in the last bits, since numpy's power and exp need not
+round as the loop's do.
 
 The match test costs in proportion to the slots that can still match.
 Slot 0 is live for every started pixel and is tested densely. When at
@@ -24,7 +31,7 @@ pixels concerned: matched pixels update their matched slot, unmatched
 pixels fill a fresh one and renormalize. The per-pixel rank order is
 restored by a network of adjacent compare-exchange steps that swap only
 on a strictly higher rank, which keeps ties in their slot order exactly
-as the scalar path's stable sort does.
+as a stable sort does.
 
 Slots beyond a pixel's live count hold weight exactly 0.0 and never
 influence sums, matching or the background prefix.
@@ -180,8 +187,8 @@ class FrameModel:
             d2_m = _take(d2.reshape(-1), fm, s.f0)
 
         # Unmatched pixels go to the next free slot, else to the lowest-weight
-        # one (first on ties, like the scalar scan), chosen before any decay.
-        # A pixel that is not full gains the slot.
+        # one (the first on ties), chosen before any decay. A pixel that is
+        # not full gains the slot.
         jt = _take(count, iu, s.i2)
         full = np.equal(jt, k, out=s.m1[:n_u])
         grown = np.add(jt, 1, out=s.i3[:n_u])
@@ -243,7 +250,7 @@ class FrameModel:
 
         # Unmatched pixels: fresh component in the target slot, then
         # renormalize. Dead slots are exactly zero, so the slot-order sum
-        # equals the scalar running total and dividing them leaves zero.
+        # equals the sum over live slots and dividing them leaves zero.
         ft = jt
         ft *= n
         ft += iu
@@ -342,8 +349,8 @@ def _take(a: np.ndarray, idx: np.ndarray, buf: np.ndarray, axis: int = 0) -> np.
 
 
 def _sq_norm(diff: np.ndarray, out: np.ndarray) -> None:
-    """out = |diff|^2 per (m, 3) row, summed in channel order as the scalar
-    path sums; squares diff in place."""
+    """out = |diff|^2 per (m, 3) row, summed in channel order; squares diff
+    in place."""
     diff *= diff
     np.add(diff[:, 0], diff[:, 1], out=out)
     out += diff[:, 2]

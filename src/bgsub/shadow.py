@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBackground
-from .gmm import BACKGROUND, FOREGROUND, Vec3
+from .gmm import FOREGROUND
 
 SHADOW = 128
 
@@ -42,61 +41,6 @@ class ShadowParams:
             raise ValueError(f"cd_max must be finite and positive, got {self.cd_max}")
 
 
-def brightness_distortion(f: Vec3, b: Vec3) -> float:
-    """Scalar projection of f onto b, normalized so 1 means full brightness.
-
-    Raises DegenerateBackground when b is too close to black.
-    """
-    nb2 = b[0] * b[0] + b[1] * b[1] + b[2] * b[2]
-    if math.sqrt(nb2) < MIN_BG_NORM:
-        raise DegenerateBackground(f"background color {b} too close to black")
-    return (f[0] * b[0] + f[1] * b[1] + f[2] * b[2]) / nb2
-
-
-def chromaticity_distortion(f: Vec3, b: Vec3) -> float:
-    """Distance of f from the brightness axis through b, scaled by 1/|b|."""
-    nb2 = b[0] * b[0] + b[1] * b[1] + b[2] * b[2]
-    norm_b = math.sqrt(nb2)
-    if norm_b < MIN_BG_NORM:
-        raise DegenerateBackground(f"background color {b} too close to black")
-    bd = (f[0] * b[0] + f[1] * b[1] + f[2] * b[2]) / nb2
-    rx = f[0] - bd * b[0]
-    ry = f[1] - bd * b[1]
-    rz = f[2] - bd * b[2]
-    return math.sqrt(rx * rx + ry * ry + rz * rz) / norm_b
-
-
-def is_shadow_point(f: Vec3, b: Vec3, params: ShadowParams) -> bool:
-    """True when f is a plausibly dimmed version of background color b.
-
-    Both band edges are inclusive. A degenerate (near-black) background
-    color can never cast a recognizable shadow, so it yields False.
-    """
-    try:
-        bd = brightness_distortion(f, b)
-        cd = chromaticity_distortion(f, b)
-    except DegenerateBackground:
-        return False
-    return params.bd_low <= bd <= params.bd_high and cd <= params.cd_max
-
-
-def refine_label(
-    label: int, f: Vec3, means: list[Vec3], b_count: int, params: ShadowParams
-) -> int:
-    """Second look at one pixel: foreground that shadows any background color.
-
-    ``means`` are the pixel's component means in rank order; only the
-    first b_count of them count as background colors. Background labels
-    pass through untouched.
-    """
-    if label == BACKGROUND:
-        return BACKGROUND
-    for k in range(min(b_count, len(means))):
-        if is_shadow_point(f, means[k], params):
-            return SHADOW
-    return FOREGROUND
-
-
 def refine_classes(
     labels: np.ndarray,
     z: np.ndarray,
@@ -104,12 +48,20 @@ def refine_classes(
     b: np.ndarray,
     params: ShadowParams,
 ) -> np.ndarray:
-    """Vectorized refine_label over a flat frame.
+    """Second look at the foreground of a flat frame: a pixel that shadows
+    any of its background colors becomes SHADOW.
 
     labels is (n,) uint8, z is (n, 3) float64, means is (k, n, 3) in rank
-    order, b is (n,) background prefix sizes. Returns a new (n,) uint8
-    class array with foreground pixels split into FOREGROUND and SHADOW.
-    Arithmetic matches the scalar functions exactly.
+    order, b is (n,) background prefix sizes: only the first b[i] means of
+    pixel i count as background colors. Returns a new (n,) uint8 class
+    array with foreground pixels split into FOREGROUND and SHADOW; other
+    labels pass through.
+
+    Against background color bg, the brightness distortion is
+    bd = (z . bg) / |bg|^2 and the chromaticity distortion
+    cd = |z - bd * bg| / |bg|. A pixel shadows bg when bd_low <= bd <=
+    bd_high and cd <= cd_max, both band edges inclusive. A background
+    color shorter than MIN_BG_NORM never casts a shadow.
     """
     fg = labels == FOREGROUND
     out = labels.copy()

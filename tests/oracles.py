@@ -2,7 +2,9 @@
 
 Everything here is deliberately written straight-line in plain Python,
 without importing from the package, so disagreements point at real
-defects rather than shared mistakes.
+defects rather than shared mistakes. The mixture recurrence and the
+shadow test are the only references the engine is checked against;
+test_package.py fails if this file imports bgsub.
 """
 
 from __future__ import annotations
@@ -118,6 +120,44 @@ def absorption_frame(old_value, new_value, n_pre, params, max_steps=2000):
         if label == 0:
             return step
     return None
+
+
+# ---------------------------------------------------------------------------
+# Shadow test: brightness and chromaticity distortion against background colors
+
+# Background colors shorter than this never cast a shadow.
+MIN_BG_NORM = 1e-6
+
+
+def oracle_distortion(f, bg):
+    """(bd, cd) of value f against background color bg, or None when bg
+    is shorter than MIN_BG_NORM."""
+    nb2 = bg[0] * bg[0] + bg[1] * bg[1] + bg[2] * bg[2]
+    norm_b = math.sqrt(nb2)
+    if norm_b < MIN_BG_NORM:
+        return None
+    bd = (f[0] * bg[0] + f[1] * bg[1] + f[2] * bg[2]) / nb2
+    rx = f[0] - bd * bg[0]
+    ry = f[1] - bd * bg[1]
+    rz = f[2] - bd * bg[2]
+    cd = math.sqrt(rx * rx + ry * ry + rz * rz) / norm_b
+    return bd, cd
+
+
+def oracle_refine(label, f, means, b_count, bd_low, bd_high, cd_max):
+    """Class of one pixel: 255 (foreground) becomes 128 (shadow) when f
+    shadows any of the first b_count means; other labels pass through.
+    Both band edges are inclusive."""
+    if label != 255:
+        return label
+    for bg in means[:b_count]:
+        geometry = oracle_distortion(f, bg)
+        if geometry is None:
+            continue
+        bd, cd = geometry
+        if bd_low <= bd <= bd_high and cd <= cd_max:
+            return 128
+    return 255
 
 
 # ---------------------------------------------------------------------------

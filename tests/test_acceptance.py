@@ -12,17 +12,8 @@ import pytest
 from bgsub.bench import benchmark
 from bgsub.config import RunConfig
 from bgsub.events import KIND_ABANDONED, KIND_MOTION_STARTED, EventParams
-from bgsub.gmm import (
-    BACKGROUND,
-    FIXED_ALPHA,
-    PDF_FAITHFUL,
-    GaussianComponent,
-    ModelParams,
-    PixelModel,
-    background_count,
-    init_pixel_model,
-    process_pixel,
-)
+from bgsub.frame_model import FrameModel
+from bgsub.gmm import BACKGROUND, FIXED_ALPHA, PDF_FAITHFUL, ModelParams
 from bgsub.metrics import score
 from bgsub.netpbm import decode_pgm
 from bgsub.pipeline import FramePipeline, run_pipeline
@@ -39,6 +30,7 @@ from bgsub.segmentation import EIGHT, FOUR, label_components
 from bgsub.shadow import SHADOW
 
 from oracles import absorption_frame, flood_fill_labels, oracle_init, oracle_params, oracle_step
+from pixel_states import load_states, pixel_state, step
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -84,14 +76,16 @@ _WALKS: dict = {}
 
 
 def _update_walk(mode: str) -> dict:
-    """10,000 single-pixel steps against the straight-line reference."""
+    """10,000 steps of a one-pixel FrameModel against the straight-line
+    reference."""
     if mode in _WALKS:
         return _WALKS[mode]
     params = ModelParams(rho_mode=mode)
     op = oracle_params(rho_mode=mode)
     rng = np.random.default_rng(97)
     z0 = _draw_value(rng)
-    model = init_pixel_model(z0, params)
+    model = FrameModel(params, 1)
+    step(model, z0)
     comps = oracle_init(z0, op)
     max_rel = 0.0
     max_sum_err = 0.0
@@ -99,18 +93,19 @@ def _update_walk(mode: str) -> dict:
     decision_mismatches = 0
     for _ in range(10_000):
         z = _draw_value(rng)
-        model, label, pos, b = process_pixel(model, z, params)
+        decision = step(model, z)
         comps, o_label, o_pos, o_b = oracle_step(comps, z, op)
-        if (label, pos, b) != (o_label, o_pos, o_b) or len(model.components) != len(comps):
+        state = pixel_state(model, 0)
+        if decision != (o_label, o_pos, o_b) or len(state) != len(comps):
             decision_mismatches += 1
             continue
-        for got, want in zip(model.components, comps):
-            max_rel = max(max_rel, _rel(got.weight, want["w"]))
-            for gm, wm in zip(got.mean, want["m"]):
+        for got, want in zip(state, comps):
+            max_rel = max(max_rel, _rel(got["w"], want["w"]))
+            for gm, wm in zip(got["m"], want["m"]):
                 max_rel = max(max_rel, _rel(gm, wm))
-            max_rel = max(max_rel, _rel(got.variance, want["v"]))
-        max_sum_err = max(max_sum_err, abs(sum(c.weight for c in model.components) - 1.0))
-        min_var = min(min_var, min(c.variance for c in model.components))
+            max_rel = max(max_rel, _rel(got["v"], want["v"]))
+        max_sum_err = max(max_sum_err, abs(sum(c["w"] for c in state) - 1.0))
+        min_var = min(min_var, min(c["v"] for c in state))
     _WALKS[mode] = {
         "max_rel": max_rel,
         "max_sum_err": max_sum_err,
@@ -165,6 +160,9 @@ def _prefix_oracle(weights, t):
 
 
 def test_c04_background_prefix_oracle():
+    # Each weight vector is one pixel's components, all at the origin with
+    # equal variance; the value (0, 0, 0) matches slot 0, and b must be the
+    # prefix of the weights after that update.
     rng = np.random.default_rng(29)
     mismatches = 0
     checks = 0
@@ -175,13 +173,13 @@ def test_c04_background_prefix_oracle():
             w = w / w.sum()
         else:
             w = w * (rng.uniform(0.2, 1.0) / w.sum())
-        weights = [float(x) for x in w]
-        model = PixelModel(
-            [GaussianComponent(x, (0.0, 0.0, 0.0), 10.0) for x in weights]
-        )
+        state = [{"w": float(x), "m": [0.0, 0.0, 0.0], "v": 10.0} for x in w]
         for t in (0.3, 0.5, 0.7, 0.9):
             checks += 1
-            got = background_count(model, ModelParams(t=t))
+            model = FrameModel(ModelParams(k=5, t=t), 1)
+            load_states(model, [state])
+            _, _, got = step(model, (0.0, 0.0, 0.0))
+            weights = [c["w"] for c in pixel_state(model, 0)]
             if got != _prefix_oracle(weights, t):
                 mismatches += 1
     ok = mismatches == 0
@@ -198,14 +196,15 @@ def test_c05_absorption_frame_exact():
     old = (120.0, 120.0, 120.0)
     new = (200.0, 60.0, 30.0)
     predicted = absorption_frame(old, new, 400, oracle_params())
-    model = init_pixel_model(old, params)
+    model = FrameModel(params, 1)
+    step(model, old)
     for _ in range(400):
-        model, _, _, _ = process_pixel(model, old, params)
+        step(model, old)
     flipped = None
-    for step in range(1, 2001):
-        model, label, _, _ = process_pixel(model, new, params)
+    for frame in range(1, 2001):
+        label, _, _ = step(model, new)
         if label == BACKGROUND:
-            flipped = step
+            flipped = frame
             break
     ok = predicted is not None and flipped == predicted
     _verdict(

@@ -1,23 +1,16 @@
-"""Vectorized engine vs the scalar reference, plus its own edge cases."""
+"""Vectorized engine vs the per-pixel oracle in tests/oracles.py, plus its
+own edge cases."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from oracles import oracle_init, oracle_step
+from pixel_states import load_states, oracle_params_of
 
 from bgsub.frame_model import SPARSE_MISS_FRACTION, FrameModel
-from bgsub.gmm import (
-    BACKGROUND,
-    FIXED_ALPHA,
-    FOREGROUND,
-    PDF_FAITHFUL,
-    GaussianComponent,
-    ModelParams,
-    PixelModel,
-    init_pixel_model,
-    process_pixel,
-)
+from bgsub.gmm import BACKGROUND, FIXED_ALPHA, FOREGROUND, PDF_FAITHFUL, ModelParams
 
 
 def _frame_stream(rng, n_pixels, n_frames):
@@ -33,18 +26,18 @@ def _frame_stream(rng, n_pixels, n_frames):
     return frames
 
 
-def _scalar_state(models):
-    """Scalar models as zero-padded (slot, pixel) arrays."""
-    k = max(m.live_count for m in models)
-    n = len(models)
+def _oracle_state(states):
+    """Oracle pixel states as zero-padded (slot, pixel) arrays."""
+    k = max(len(comps) for comps in states)
+    n = len(states)
     weights = np.zeros((k, n))
     means = np.zeros((k, n, 3))
     variances = np.zeros((k, n))
-    for j, m in enumerate(models):
-        for i, c in enumerate(m.components):
-            weights[i, j] = c.weight
-            means[i, j] = c.mean
-            variances[i, j] = c.variance
+    for j, comps in enumerate(states):
+        for i, c in enumerate(comps):
+            weights[i, j] = c["w"]
+            means[i, j] = c["m"]
+            variances[i, j] = c["v"]
     return weights, means, variances
 
 
@@ -77,27 +70,29 @@ def _first_match(fm, z):
     return np.where(matched.any(axis=0), matched.argmax(axis=0), -1)
 
 
-def _check_against_scalar(p, frames, exact):
-    """Run FrameModel and the scalar process_pixel side by side. Outputs and
-    live counts must agree exactly, and so must the state when exact, else
-    to rtol 1e-12; dead slots must keep weight 0.0. Returns each pixel's
-    first matching slot (-1 for none), one row per frame after the seed."""
+def _check_against_oracle(p, frames, exact):
+    """Run FrameModel and oracle_step on every pixel side by side. Outputs
+    and live counts must agree exactly, and so must the state when exact,
+    else to rtol 1e-12; dead slots must keep weight 0.0. Returns each
+    pixel's first matching slot (-1 for none), one row per frame after the
+    seed."""
     n = len(frames[0])
+    op = oracle_params_of(p)
     fm = FrameModel(p, n)
     labels, _, _ = fm.observe(frames[0])
     assert np.all(labels == BACKGROUND)
-    scalars = [init_pixel_model(tuple(z), p) for z in frames[0]]
+    states = [oracle_init(z.tolist(), op) for z in frames[0]]
     first = []
     for f_idx, z in enumerate(frames[1:], 1):
         first.append(_first_match(fm, z))
         labels, pos, b = fm.observe(z)
-        steps = [process_pixel(scalars[j], tuple(z[j]), p) for j in range(n)]
-        scalars = [step[0] for step in steps]
+        steps = [oracle_step(states[j], z[j].tolist(), op) for j in range(n)]
+        states = [step[0] for step in steps]
         want = np.array([step[1:] for step in steps])
         assert np.array_equal(np.stack([labels, pos, b], axis=1), want), f"frame {f_idx}"
-        live = np.array([m.live_count for m in scalars])
+        live = np.array([len(comps) for comps in states])
         assert np.array_equal(fm.live_count, live)
-        sw, sm, sv = _scalar_state(scalars)
+        sw, sm, sv = _oracle_state(states)
         kk = sw.shape[0]
         in_use = np.arange(kk)[:, None] < live
         assert np.all(fm.weights[kk:] == 0.0) and np.all(fm.weights[:kk][~in_use] == 0.0)
@@ -114,7 +109,7 @@ def _check_against_scalar(p, frames, exact):
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_equivalence_fixed_alpha_is_exact(k):
     p = ModelParams(k=k, alpha=0.03, rho_mode=FIXED_ALPHA)
-    _check_against_scalar(p, _frame_stream(np.random.default_rng(21), 48, 120), exact=True)
+    _check_against_oracle(p, _frame_stream(np.random.default_rng(21), 48, 120), exact=True)
 
 
 @pytest.mark.parametrize("rho_mode", [FIXED_ALPHA, PDF_FAITHFUL])
@@ -122,7 +117,7 @@ def test_equivalence_fixed_alpha_is_exact(k):
 def test_equivalence_mostly_static_stream(k, rho_mode):
     p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
     frames = _static_stream(np.random.default_rng(31), 200, 60)
-    first = _check_against_scalar(p, frames, exact=rho_mode == FIXED_ALPHA)
+    first = _check_against_oracle(p, frames, exact=rho_mode == FIXED_ALPHA)
     # Every frame takes the gathered branch, and each later slot that the
     # three modes can fill does match.
     assert np.all((first != 0).mean(axis=1) <= SPARSE_MISS_FRACTION)
@@ -135,7 +130,7 @@ def test_equivalence_switching_sparse_and_crowded(k, rho_mode):
     p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
     crowded = {5, 6, 17, 30, 31, 32, 45}
     frames = _static_stream(np.random.default_rng(32), 200, 60, crowded)
-    first = _check_against_scalar(p, frames, exact=rho_mode == FIXED_ALPHA)
+    first = _check_against_oracle(p, frames, exact=rho_mode == FIXED_ALPHA)
     sparse = (first != 0).mean(axis=1) <= SPARSE_MISS_FRACTION
     # The branch changes often, both ways.
     assert np.count_nonzero(np.diff(sparse.astype(int))) >= 6
@@ -157,31 +152,20 @@ def test_dead_slot_is_never_matched(n_still):
     assert labels[-1] == FOREGROUND and pos[-1] == 1
     assert fm.means[1, -1].tolist() == [5.0, 5.0, 5.0]
     assert fm.variances[1, -1] == p.var_init
-    model, s_label, s_pos, s_b = process_pixel(
-        init_pixel_model((200.0, 200.0, 200.0), p), (5.0, 5.0, 5.0), p
-    )
-    assert (labels[-1], pos[-1], b[-1]) == (s_label, s_pos, s_b)
-    assert [c.weight for c in model.components] == fm.weights[:2, -1].tolist()
-
-
-def _set_state(fm, models):
-    """Load scalar pixel models into a started FrameModel."""
-    for j, m in enumerate(models):
-        fm.live_count[j] = m.live_count
-        for i, c in enumerate(m.components):
-            fm.weights[i, j] = c.weight
-            fm.means[i, j] = c.mean
-            fm.variances[i, j] = c.variance
-    fm.started = True
+    op = oracle_params_of(p)
+    comps, o_label, o_pos, o_b = oracle_step(oracle_init([200.0] * 3, op), [5.0] * 3, op)
+    assert (labels[-1], pos[-1], b[-1]) == (o_label, o_pos, o_b)
+    assert [c["w"] for c in comps] == fm.weights[:2, -1].tolist()
 
 
 def test_equal_ranks_keep_slot_order():
     # alpha 0.5 keeps every product exact, so the ties below are exact.
     p = ModelParams(k=3, alpha=0.5, var_min=1.0, rho_mode=FIXED_ALPHA)
+    op = oracle_params_of(p)
     far = (250.0, 250.0, 250.0)
 
     def comps(*specs):
-        return PixelModel([GaussianComponent(w, m, v) for w, m, v in specs])
+        return [{"w": w, "m": list(m), "v": v} for w, m, v in specs]
 
     def states():
         return [
@@ -200,18 +184,17 @@ def test_equal_ranks_keep_slot_order():
     z = np.array([(108.0, 100.0, 100.0), (108.0, 100.0, 100.0), far, far])
     n = len(z)
     fm = FrameModel(p, n)
-    _set_state(fm, states())
+    load_states(fm, states())
     labels, pos, b = fm.observe(z)
 
-    scalars = states()
-    for j in range(n):
-        scalars[j], s_label, s_pos, s_b = process_pixel(scalars[j], tuple(z[j]), p)
-        assert (labels[j], pos[j], b[j]) == (s_label, s_pos, s_b)
-        assert fm.live_count[j] == scalars[j].live_count
-        for i, c in enumerate(scalars[j].components):
-            assert fm.weights[i, j] == c.weight
-            assert tuple(fm.means[i, j]) == c.mean
-            assert fm.variances[i, j] == c.variance
+    for j, comps_j in enumerate(states()):
+        comps_j, o_label, o_pos, o_b = oracle_step(comps_j, z[j].tolist(), op)
+        assert (labels[j], pos[j], b[j]) == (o_label, o_pos, o_b)
+        assert fm.live_count[j] == len(comps_j)
+        for i, c in enumerate(comps_j):
+            assert fm.weights[i, j] == c["w"]
+            assert fm.means[i, j].tolist() == c["m"]
+            assert fm.variances[i, j] == c["v"]
     rank = fm.weights / np.sqrt(fm.variances)
     assert rank[1, 0] == rank[2, 0] and pos[0] == 2
     assert rank[0, 1] == rank[1, 1] and pos[1] == 1
@@ -221,7 +204,7 @@ def test_equal_ranks_keep_slot_order():
 
 def test_equivalence_pdf_mode_near_exact():
     p = ModelParams(alpha=0.03, rho_mode=PDF_FAITHFUL)
-    _check_against_scalar(p, _frame_stream(np.random.default_rng(22), 32, 80), exact=False)
+    _check_against_oracle(p, _frame_stream(np.random.default_rng(22), 32, 80), exact=False)
 
 
 def test_first_observation_bootstraps_background():
@@ -235,6 +218,7 @@ def test_first_observation_bootstraps_background():
     assert np.all(fm.live_count == 1)
     assert np.array_equal(fm.means[0], z)
     assert np.all(fm.weights[0] == 1.0)
+    assert np.all(fm.variances[0] == p.var_init)
 
 
 def test_dead_slots_stay_zero():

@@ -1,44 +1,35 @@
-"""Scalar mixture model: contract examples, invariants, oracle agreement."""
+"""Mixture recurrence on one-pixel FrameModels: worked examples, invariants,
+oracle agreement."""
 
 import math
 
+import numpy as np
 import pytest
 from oracles import oracle_init, oracle_params, oracle_step
+from pixel_states import load_states, pixel_state, step
 
-from bgsub.gmm import (
-    BACKGROUND,
-    FIXED_ALPHA,
-    FOREGROUND,
-    PDF_FAITHFUL,
-    GaussianComponent,
-    ModelParams,
-    PixelModel,
-    background_count,
-    component_pdf,
-    init_pixel_model,
-    match_gaussian,
-    process_pixel,
-    rho_for,
-    update_on_match,
-    update_on_no_match,
-)
-import numpy as np
+from bgsub.frame_model import FrameModel
+from bgsub.gmm import BACKGROUND, FIXED_ALPHA, FOREGROUND, PDF_FAITHFUL, ModelParams
 
 
-def test_init_pixel_model():
-    p = ModelParams(var_init=225.0)
-    m = init_pixel_model((100.0, 100.0, 100.0), p)
-    assert m.live_count == 1
-    c = m.components[0]
-    assert c.weight == 1.0
-    assert c.mean == (100.0, 100.0, 100.0)
-    assert c.variance == 225.0
+def _pixel(params, *comps):
+    """A started one-pixel model holding comps, (weight, mean, variance)
+    tuples in rank order."""
+    fm = FrameModel(params, 1)
+    load_states(fm, [[{"w": w, "m": list(m), "v": v} for w, m, v in comps]])
+    return fm
+
+
+def _seeded(params, first):
+    fm = FrameModel(params, 1)
+    step(fm, first)
+    return fm
 
 
 def test_init_at_black():
-    m = init_pixel_model((0.0, 0.0, 0.0), ModelParams())
-    assert m.components[0].mean == (0.0, 0.0, 0.0)
-    assert sum(c.weight for c in m.components) == 1.0
+    fm = _seeded(ModelParams(), (0.0, 0.0, 0.0))
+    assert fm.means[0, 0].tolist() == [0.0, 0.0, 0.0]
+    assert sum(c["w"] for c in pixel_state(fm, 0)) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -63,244 +54,214 @@ def test_params_validation(kwargs):
 
 
 def test_match_within_radius():
-    p = ModelParams(d=2.5)
-    m = PixelModel([GaussianComponent(1.0, (100.0, 100.0, 100.0), 100.0)])
+    fm = _pixel(ModelParams(d=2.5), (1.0, (100.0, 100.0, 100.0), 100.0))
     # distance sqrt(300) ~ 17.32 against radius d*sigma = 25
-    assert match_gaussian(m, (110.0, 110.0, 110.0), p) == 0
+    assert step(fm, (110.0, 110.0, 110.0))[1] == 0
+    assert fm.live_count[0] == 1
 
 
 def test_match_outside_radius():
-    p = ModelParams(d=2.5)
-    m = PixelModel([GaussianComponent(1.0, (100.0, 100.0, 100.0), 100.0)])
-    # distance sqrt(2700) ~ 51.96
-    assert match_gaussian(m, (130.0, 130.0, 130.0), p) is None
+    fm = _pixel(ModelParams(d=2.5), (1.0, (100.0, 100.0, 100.0), 100.0))
+    # distance sqrt(2700) ~ 51.96: a fresh component takes the value
+    step(fm, (130.0, 130.0, 130.0))
+    assert fm.live_count[0] == 2
+    assert [130.0, 130.0, 130.0] in [c["m"] for c in pixel_state(fm, 0)]
 
 
 def test_match_exact_mean():
-    p = ModelParams()
-    m = PixelModel([GaussianComponent(1.0, (42.0, 7.0, 99.0), 4.0)])
-    assert match_gaussian(m, (42.0, 7.0, 99.0), p) == 0
+    fm = _pixel(ModelParams(), (1.0, (42.0, 7.0, 99.0), 4.0))
+    assert step(fm, (42.0, 7.0, 99.0))[1] == 0
+    assert fm.live_count[0] == 1
 
 
 def test_match_prefers_higher_rank():
     p = ModelParams()
-    m = PixelModel(
-        [
-            GaussianComponent(0.6, (100.0, 100.0, 100.0), 100.0),
-            GaussianComponent(0.4, (101.0, 100.0, 100.0), 100.0),
-        ]
-    )
-    assert match_gaussian(m, (100.0, 100.0, 100.0), p) == 0
+    fm = _pixel(p, (0.6, (100.0, 100.0, 100.0), 100.0), (0.4, (101.0, 100.0, 100.0), 100.0))
+    assert step(fm, (100.0, 100.0, 100.0))[1] == 0
+    # Both are within reach; only the first absorbs the value.
+    assert fm.weights[1, 0] == 0.4 * (1.0 - p.alpha)
+    assert fm.means[1, 0].tolist() == [101.0, 100.0, 100.0] and fm.variances[1, 0] == 100.0
 
 
-def test_match_does_not_mutate():
-    p = ModelParams()
-    m = PixelModel([GaussianComponent(1.0, (10.0, 20.0, 30.0), 50.0)])
-    match_gaussian(m, (10.0, 20.0, 31.0), p)
-    assert m.components[0].weight == 1.0
-    assert m.components[0].mean == (10.0, 20.0, 30.0)
-    assert m.components[0].variance == 50.0
+def _matched_rho(params, var, z):
+    """rho of the matched update of a lone component at the origin with
+    variance var, read back from the updated mean, (1 - rho) * 0 + rho * z."""
+    fm = _pixel(params, (1.0, (0.0, 0.0, 0.0), var))
+    step(fm, z)
+    assert fm.live_count[0] == 1
+    return fm.means[0, 0, 0] / z[0]
+
+
+# 2**-30 from the mean: the density there equals the density at the mean
+# to the last bit (exp(-2**-60 / (2 var)) rounds to 1.0), and rho * 2**-30
+# reads back exactly.
+AT_MEAN = (2.0**-30, 0.0, 0.0)
 
 
 def test_component_pdf_at_mean():
-    c = GaussianComponent(1.0, (100.0, 100.0, 100.0), 100.0)
+    # alpha 0.5 divides out exactly: the density is rho / alpha.
+    p = ModelParams(alpha=0.5, rho_mode=PDF_FAITHFUL)
+    density = _matched_rho(p, 100.0, AT_MEAN) / p.alpha
     expected = (2.0 * math.pi) ** -1.5 * 1e-3
-    assert component_pdf(c, (100.0, 100.0, 100.0)) == pytest.approx(expected, rel=1e-12)
+    assert density == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(6.3494e-5, rel=1e-4)
 
 
 def test_component_pdf_decays_with_distance():
-    c = GaussianComponent(1.0, (0.0, 0.0, 0.0), 100.0)
-    near = component_pdf(c, (5.0, 0.0, 0.0))
-    far = component_pdf(c, (10.0, 0.0, 0.0))
-    assert near < component_pdf(c, (0.0, 0.0, 0.0))
+    p = ModelParams(alpha=0.5, rho_mode=PDF_FAITHFUL)
+    near = _matched_rho(p, 100.0, (5.0, 0.0, 0.0))
+    far = _matched_rho(p, 100.0, (10.0, 0.0, 0.0))
+    assert near < _matched_rho(p, 100.0, AT_MEAN)
     # adding 75 to the squared distance scales density by exp(-75/200)
     assert far == pytest.approx(near * math.exp(-75.0 / 200.0), rel=1e-12)
 
 
 def test_rho_fixed_mode_ignores_z():
     p = ModelParams(alpha=0.05, rho_mode=FIXED_ALPHA)
-    c = GaussianComponent(0.5, (100.0, 100.0, 100.0), 100.0)
-    assert rho_for(c, (100.0, 100.0, 100.0), p) == 0.05
-    assert rho_for(c, (250.0, 0.0, 0.0), p) == 0.05
+    assert _matched_rho(p, 100.0, AT_MEAN) == 0.05
+    assert _matched_rho(p, 100.0, (16.0, 0.0, 0.0)) == 0.05
 
 
 def test_rho_pdf_mode_scales_by_density():
     p = ModelParams(alpha=0.05, rho_mode=PDF_FAITHFUL)
-    c = GaussianComponent(0.5, (100.0, 100.0, 100.0), 100.0)
-    rho = rho_for(c, (100.0, 100.0, 100.0), p)
+    rho = _matched_rho(p, 100.0, AT_MEAN)
     assert rho == pytest.approx(0.05 * (2.0 * math.pi) ** -1.5 * 1e-3, rel=1e-12)
     assert rho == pytest.approx(3.175e-6, rel=1e-3)
 
 
 def test_rho_pdf_mode_clamps_to_one():
     p = ModelParams(alpha=0.05, rho_mode=PDF_FAITHFUL)
-    spike = GaussianComponent(0.5, (10.0, 10.0, 10.0), 1e-9)
-    assert rho_for(spike, (10.0, 10.0, 10.0), p) == 1.0
+    assert _matched_rho(p, 1e-9, AT_MEAN) == 1.0
 
 
 def test_update_on_match_worked_example():
     p = ModelParams(alpha=0.05, rho_mode=FIXED_ALPHA)
-    m = PixelModel([GaussianComponent(0.5, (100.0, 100.0, 100.0), 100.0)])
-    update_on_match(m, 0, (110.0, 110.0, 110.0), p)
-    c = m.components[0]
-    assert c.weight == pytest.approx(0.525, rel=1e-12)
-    assert c.mean[0] == pytest.approx(100.5, rel=1e-12)
-    assert c.mean[1] == pytest.approx(100.5, rel=1e-12)
-    assert c.mean[2] == pytest.approx(100.5, rel=1e-12)
+    fm = _pixel(p, (0.5, (100.0, 100.0, 100.0), 100.0))
+    step(fm, (110.0, 110.0, 110.0))
+    (c,) = pixel_state(fm, 0)
+    assert c["w"] == pytest.approx(0.525, rel=1e-12)
+    assert c["m"][0] == pytest.approx(100.5, rel=1e-12)
+    assert c["m"][1] == pytest.approx(100.5, rel=1e-12)
+    assert c["m"][2] == pytest.approx(100.5, rel=1e-12)
     # variance pulls toward the squared distance from the updated mean
-    assert c.variance == pytest.approx(0.95 * 100.0 + 0.05 * (9.5**2 * 3), rel=1e-12)
-    assert c.variance == pytest.approx(108.5375, rel=1e-12)
+    assert c["v"] == pytest.approx(0.95 * 100.0 + 0.05 * (9.5**2 * 3), rel=1e-12)
+    assert c["v"] == pytest.approx(108.5375, rel=1e-12)
 
 
 def test_update_on_match_zero_innovation_shrinks_variance():
-    p = ModelParams(alpha=0.05)
-    m = PixelModel([GaussianComponent(1.0, (50.0, 60.0, 70.0), 100.0)])
-    update_on_match(m, 0, (50.0, 60.0, 70.0), p)
-    c = m.components[0]
-    assert c.mean == (50.0, 60.0, 70.0)
-    assert c.variance == pytest.approx(95.0, rel=1e-12)
+    fm = _pixel(ModelParams(alpha=0.05), (1.0, (50.0, 60.0, 70.0), 100.0))
+    step(fm, (50.0, 60.0, 70.0))
+    (c,) = pixel_state(fm, 0)
+    assert c["m"] == [50.0, 60.0, 70.0]
+    assert c["v"] == pytest.approx(95.0, rel=1e-12)
 
 
 def test_update_on_match_variance_floor():
-    p = ModelParams(alpha=0.5, var_min=4.0)
-    m = PixelModel([GaussianComponent(1.0, (50.0, 60.0, 70.0), 4.5)])
+    fm = _pixel(ModelParams(alpha=0.5, var_min=4.0), (1.0, (50.0, 60.0, 70.0), 4.5))
     for _ in range(10):
-        update_on_match(m, 0, (50.0, 60.0, 70.0), p)
-    assert m.components[0].variance == 4.0
+        step(fm, (50.0, 60.0, 70.0))
+    assert fm.variances[0, 0] == 4.0
 
 
 def test_update_on_match_decays_unmatched():
-    p = ModelParams(alpha=0.1)
-    m = PixelModel(
-        [
-            GaussianComponent(0.7, (0.0, 0.0, 0.0), 25.0),
-            GaussianComponent(0.3, (200.0, 200.0, 200.0), 25.0),
-        ]
+    fm = _pixel(
+        ModelParams(alpha=0.1),
+        (0.7, (0.0, 0.0, 0.0), 25.0),
+        (0.3, (200.0, 200.0, 200.0), 25.0),
     )
-    update_on_match(m, 0, (0.0, 0.0, 0.0), p)
-    weights = sorted(c.weight for c in m.components)
+    step(fm, (0.0, 0.0, 0.0))
+    weights = sorted(c["w"] for c in pixel_state(fm, 0))
     assert weights[0] == pytest.approx(0.27, rel=1e-12)
     assert weights[1] == pytest.approx(0.73, rel=1e-12)
 
 
-def test_update_on_match_rejects_dead_index():
-    p = ModelParams()
-    m = init_pixel_model((1.0, 2.0, 3.0), p)
-    with pytest.raises(ValueError):
-        update_on_match(m, 1, (1.0, 2.0, 3.0), p)
-    with pytest.raises(ValueError):
-        update_on_match(m, -1, (1.0, 2.0, 3.0), p)
-
-
 def test_update_on_no_match_appends_below_capacity():
-    p = ModelParams(k=3, alpha=0.05, w_init=0.05)
-    m = init_pixel_model((10.0, 10.0, 10.0), p)
-    update_on_no_match(m, (200.0, 30.0, 30.0), p)
-    assert m.live_count == 2
-    means = [c.mean for c in m.components]
-    assert (200.0, 30.0, 30.0) in means
-    assert sum(c.weight for c in m.components) == pytest.approx(1.0, abs=1e-12)
+    fm = _seeded(ModelParams(k=3, alpha=0.05, w_init=0.05), (10.0, 10.0, 10.0))
+    step(fm, (200.0, 30.0, 30.0))
+    comps = pixel_state(fm, 0)
+    assert len(comps) == 2
+    assert [200.0, 30.0, 30.0] in [c["m"] for c in comps]
+    assert sum(c["w"] for c in comps) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_update_on_no_match_replacement_worked_example():
     p = ModelParams(k=2, alpha=0.05, w_init=0.05)
-    m = PixelModel(
-        [
-            GaussianComponent(0.7, (0.0, 0.0, 0.0), 25.0),
-            GaussianComponent(0.3, (80.0, 80.0, 80.0), 25.0),
-        ]
-    )
-    update_on_no_match(m, (200.0, 200.0, 200.0), p)
-    assert m.live_count == 2
-    by_weight = sorted(m.components, key=lambda c: c.weight)
+    fm = _pixel(p, (0.7, (0.0, 0.0, 0.0), 25.0), (0.3, (80.0, 80.0, 80.0), 25.0))
+    step(fm, (200.0, 200.0, 200.0))
+    comps = pixel_state(fm, 0)
+    assert len(comps) == 2
+    by_weight = sorted(comps, key=lambda c: c["w"])
     # survivor 0.7*0.95 = 0.665 and fresh 0.05, renormalized by 0.715
-    assert by_weight[1].weight == pytest.approx(0.93007, rel=1e-4)
-    assert by_weight[0].weight == pytest.approx(0.06993, rel=1e-4)
-    assert by_weight[0].mean == (200.0, 200.0, 200.0)
-    assert by_weight[0].variance == p.var_init
+    assert by_weight[1]["w"] == pytest.approx(0.93007, rel=1e-4)
+    assert by_weight[0]["w"] == pytest.approx(0.06993, rel=1e-4)
+    assert by_weight[0]["m"] == [200.0, 200.0, 200.0]
+    assert by_weight[0]["v"] == p.var_init
 
 
 def test_update_on_no_match_replaces_lowest_weight_first_on_tie():
     p = ModelParams(k=2, alpha=0.05)
-    a = GaussianComponent(0.5, (0.0, 0.0, 0.0), 25.0)
-    b = GaussianComponent(0.5, (80.0, 80.0, 80.0), 25.0)
-    m = PixelModel([a, b])
-    update_on_no_match(m, (200.0, 200.0, 200.0), p)
-    survivors = [c.mean for c in m.components]
-    assert (80.0, 80.0, 80.0) in survivors  # first of the tie was replaced
-    assert (0.0, 0.0, 0.0) not in survivors
+    fm = _pixel(p, (0.5, (0.0, 0.0, 0.0), 25.0), (0.5, (80.0, 80.0, 80.0), 25.0))
+    step(fm, (200.0, 200.0, 200.0))
+    survivors = [c["m"] for c in pixel_state(fm, 0)]
+    assert [80.0, 80.0, 80.0] in survivors  # first of the tie was replaced
+    assert [0.0, 0.0, 0.0] not in survivors
+
+
+# In the background-prefix examples the value matches slot 0, whose
+# weight grows by the update while the others shrink; b is taken over the
+# weights after the update.
 
 
 def test_background_count_prefix():
     p7 = ModelParams(t=0.7)
-    m = PixelModel(
-        [
-            GaussianComponent(0.5, (0.0, 0.0, 0.0), 25.0),
-            GaussianComponent(0.3, (1.0, 1.0, 1.0), 25.0),
-            GaussianComponent(0.2, (2.0, 2.0, 2.0), 25.0),
-        ]
+    fm = _pixel(
+        p7,
+        (0.5, (0.0, 0.0, 0.0), 25.0),
+        (0.3, (1.0, 1.0, 1.0), 25.0),
+        (0.2, (2.0, 2.0, 2.0), 25.0),
     )
-    assert background_count(m, p7) == 2
-    m2 = PixelModel(
-        [
-            GaussianComponent(0.9, (0.0, 0.0, 0.0), 25.0),
-            GaussianComponent(0.1, (1.0, 1.0, 1.0), 25.0),
-        ]
-    )
-    assert background_count(m2, p7) == 1
+    # weights after the update: 0.505, 0.297, 0.198
+    assert step(fm, (0.0, 0.0, 0.0))[2] == 2
+    fm = _pixel(p7, (0.9, (0.0, 0.0, 0.0), 25.0), (0.1, (1.0, 1.0, 1.0), 25.0))
+    assert step(fm, (0.0, 0.0, 0.0))[2] == 1
 
 
 def test_background_count_strictly_greater():
-    p = ModelParams(t=0.7)
-    m = PixelModel(
-        [
-            GaussianComponent(0.7, (0.0, 0.0, 0.0), 25.0),
-            GaussianComponent(0.3, (1.0, 1.0, 1.0), 25.0),
-        ]
-    )
-    # prefix sum 0.7 is not strictly above t=0.7
-    assert background_count(m, p) == 2
+    # alpha 0.5 keeps the update exact: the weights become 0.75 and 0.25.
+    p = ModelParams(t=0.75, alpha=0.5)
+    fm = _pixel(p, (0.5, (0.0, 0.0, 0.0), 25.0), (0.5, (1.0, 1.0, 1.0), 25.0))
+    b = step(fm, (0.0, 0.0, 0.0))[2]
+    assert fm.weights[:2, 0].tolist() == [0.75, 0.25]
+    # prefix sum 0.75 is not strictly above t=0.75
+    assert b == 2
 
 
 def test_background_count_degenerate_falls_back_to_live():
     p = ModelParams(t=0.95)
-    m = PixelModel(
-        [
-            GaussianComponent(0.4, (0.0, 0.0, 0.0), 25.0),
-            GaussianComponent(0.3, (1.0, 1.0, 1.0), 25.0),
-        ]
-    )
-    assert background_count(m, p) == 2
+    fm = _pixel(p, (0.4, (0.0, 0.0, 0.0), 25.0), (0.3, (1.0, 1.0, 1.0), 25.0))
+    # weights after the update 0.406 and 0.297: no prefix gets above t
+    assert step(fm, (0.0, 0.0, 0.0))[2] == 2
 
 
-def test_process_pixel_dominant_match_is_background():
-    p = ModelParams()
-    m = init_pixel_model((100.0, 100.0, 100.0), p)
-    m, label, pos, b = process_pixel(m, (101.0, 100.0, 99.0), p)
+def test_dominant_match_is_background():
+    fm = _seeded(ModelParams(), (100.0, 100.0, 100.0))
+    label, pos, b = step(fm, (101.0, 100.0, 99.0))
     assert label == BACKGROUND
     assert pos == 0
     assert b >= 1
 
 
-def test_process_pixel_replacement_is_foreground():
-    p = ModelParams()
-    m = init_pixel_model((100.0, 100.0, 100.0), p)
-    m, label, pos, b = process_pixel(m, (250.0, 10.0, 10.0), p)
+def test_replacement_is_foreground():
+    fm = _seeded(ModelParams(), (100.0, 100.0, 100.0))
+    label, pos, b = step(fm, (250.0, 10.0, 10.0))
     assert label == FOREGROUND
     assert pos >= b
 
 
 def test_constant_feed_stays_background():
-    p = ModelParams()
-    m = init_pixel_model((77.0, 40.0, 200.0), p)
+    fm = _seeded(ModelParams(), (77.0, 40.0, 200.0))
     for _ in range(100):
-        m, label, pos, b = process_pixel(m, (77.0, 40.0, 200.0), p)
-        assert label == BACKGROUND
-
-
-def _model_as_lists(m):
-    return [{"w": c.weight, "m": list(c.mean), "v": c.variance} for c in m.components]
+        assert step(fm, (77.0, 40.0, 200.0))[0] == BACKGROUND
 
 
 def _draw_value(rng):
@@ -320,22 +281,23 @@ def test_oracle_agreement_random_walk(rho_mode):
     rng = np.random.default_rng(11 if rho_mode == FIXED_ALPHA else 12)
     for _ in range(20):
         first = tuple(rng.uniform(0.0, 255.0, 3))
-        m = init_pixel_model(first, p)
+        fm = _seeded(p, first)
         ref = oracle_init(first, op)
         for _ in range(100):
             z = _draw_value(rng)
-            m, label, pos, b = process_pixel(m, z, p)
+            got = step(fm, z)
             ref, rlabel, rpos, rb = oracle_step(ref, z, op)
-            assert (label, pos, b) == (rlabel, rpos, rb)
-            assert len(ref) == m.live_count
-            for mine, theirs in zip(_model_as_lists(m), ref):
-                assert mine["w"] == pytest.approx(theirs["w"], rel=1e-9)
-                assert mine["v"] == pytest.approx(theirs["v"], rel=1e-9)
-                for a, bb in zip(mine["m"], theirs["m"]):
+            assert got == (rlabel, rpos, rb)
+            mine = pixel_state(fm, 0)
+            assert len(ref) == len(mine)
+            for c, theirs in zip(mine, ref):
+                assert c["w"] == pytest.approx(theirs["w"], rel=1e-9)
+                assert c["v"] == pytest.approx(theirs["v"], rel=1e-9)
+                for a, bb in zip(c["m"], theirs["m"]):
                     assert a == pytest.approx(bb, rel=1e-9)
             # step invariants
-            assert sum(c.weight for c in m.components) == pytest.approx(1.0, abs=1e-6)
-            assert all(c.variance >= p.var_min for c in m.components)
-            ranks = [c.weight / math.sqrt(c.variance) for c in m.components]
+            assert sum(c["w"] for c in mine) == pytest.approx(1.0, abs=1e-6)
+            assert all(c["v"] >= p.var_min for c in mine)
+            ranks = [c["w"] / math.sqrt(c["v"]) for c in mine]
             assert ranks == sorted(ranks, reverse=True)
-            assert m.live_count <= p.k
+            assert len(mine) <= p.k

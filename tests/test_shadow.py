@@ -1,29 +1,59 @@
-"""Brightness/chromaticity distortion geometry and the refinement pass."""
+"""Shadow refinement: refine_classes against the straight-line oracle in
+tests/oracles.py, with worked examples of the distortion geometry."""
 
 import math
 
 import numpy as np
 import pytest
+from oracles import oracle_distortion, oracle_refine
 
-from bgsub.errors import DegenerateBackground
 from bgsub.gmm import BACKGROUND, FOREGROUND
-from bgsub.shadow import (
-    SHADOW,
-    ShadowParams,
-    brightness_distortion,
-    chromaticity_distortion,
-    is_shadow_point,
-    refine_classes,
-    refine_label,
-)
+from bgsub.shadow import SHADOW, ShadowParams, refine_classes
+
+P = ShadowParams(0.4, 0.95, 0.1)
+
+
+def _classify(f, means, params=P, b_count=None, label=FOREGROUND):
+    """refine_classes on one pixel with value f over the background colors
+    means (all of them unless b_count says fewer)."""
+    out = refine_classes(
+        np.array([label], dtype=np.uint8),
+        np.array([f], dtype=np.float64),
+        np.array(means, dtype=np.float64).reshape(-1, 1, 3),
+        np.array([len(means) if b_count is None else b_count]),
+        params,
+    )
+    return int(out[0])
+
+
+def _distortion(f, bg):
+    """The oracle's (bd, cd) of f against bg, after checking that
+    refine_classes decides as the oracle does and sees the same two
+    numbers: a band edge placed at bd or cd keeps the pixel a shadow, one
+    ulp further in drops it. bd can be pinned only inside (0, 1]."""
+    bd, cd = oracle_distortion(f, bg)
+    assert _classify(f, [bg]) == oracle_refine(FOREGROUND, f, [bg], 1, P.bd_low, P.bd_high, P.cd_max)
+    low, high, wide = 1e-9, 1.0, 1e9
+    if low < bd <= high:
+        if bd < high:
+            assert _classify(f, [bg], ShadowParams(bd, high, wide)) == SHADOW
+            above = math.nextafter(bd, math.inf)
+            if above < high:
+                assert _classify(f, [bg], ShadowParams(above, high, wide)) == FOREGROUND
+        assert _classify(f, [bg], ShadowParams(low, bd, wide)) == SHADOW
+        assert _classify(f, [bg], ShadowParams(low, math.nextafter(bd, 0.0), wide)) == FOREGROUND
+        if cd > 0.0:
+            assert _classify(f, [bg], ShadowParams(low, high, cd)) == SHADOW
+            assert _classify(f, [bg], ShadowParams(low, high, math.nextafter(cd, 0.0))) == FOREGROUND
+    return bd, cd
 
 
 def test_bd_of_identical_vectors():
-    assert brightness_distortion((100.0, 100.0, 100.0), (100.0, 100.0, 100.0)) == 1.0
+    assert _distortion((100.0, 100.0, 100.0), (100.0, 100.0, 100.0))[0] == 1.0
 
 
 def test_bd_worked_example():
-    bd = brightness_distortion((60.0, 70.0, 60.0), (100.0, 100.0, 100.0))
+    bd, _ = _distortion((60.0, 70.0, 60.0), (100.0, 100.0, 100.0))
     assert bd == pytest.approx(19000.0 / 30000.0, rel=1e-12)
     assert bd == pytest.approx(0.63333, rel=1e-4)
 
@@ -31,34 +61,40 @@ def test_bd_worked_example():
 def test_bd_collinear_scaling():
     b = (120.0, 80.0, 60.0)
     f = tuple(0.5 * v for v in b)
-    assert brightness_distortion(f, b) == pytest.approx(0.5, rel=1e-12)
+    assert _distortion(f, b)[0] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_cd_zero_for_collinear():
     b = (90.0, 120.0, 30.0)
     for t in (0.2, 0.7, 1.3):
         f = tuple(t * v for v in b)
-        assert chromaticity_distortion(f, b) == pytest.approx(0.0, abs=1e-12)
+        assert _distortion(f, b)[1] == pytest.approx(0.0, abs=1e-12)
+        if t <= 1.0:
+            assert _classify(f, [b], ShadowParams(0.1, 1.0, 1e-12)) == SHADOW
 
 
 def test_cd_worked_example():
-    cd = chromaticity_distortion((60.0, 70.0, 60.0), (100.0, 100.0, 100.0))
+    _, cd = _distortion((60.0, 70.0, 60.0), (100.0, 100.0, 100.0))
     assert cd == pytest.approx(math.sqrt(66.0 + 2.0 / 3.0) / math.sqrt(30000.0), rel=1e-9)
     assert cd == pytest.approx(0.047140, rel=1e-4)
 
 
 def test_cd_far_from_axis():
-    cd = chromaticity_distortion((200.0, 50.0, 50.0), (100.0, 100.0, 100.0))
-    assert brightness_distortion((200.0, 50.0, 50.0), (100.0, 100.0, 100.0)) == pytest.approx(1.0)
+    bd, cd = _distortion((200.0, 50.0, 50.0), (100.0, 100.0, 100.0))
+    assert bd == pytest.approx(1.0)
     assert cd == pytest.approx(math.sqrt(15000.0) / math.sqrt(30000.0), rel=1e-12)
     assert cd == pytest.approx(0.70711, rel=1e-4)
 
 
-def test_degenerate_background_raises():
-    with pytest.raises(DegenerateBackground):
-        brightness_distortion((10.0, 10.0, 10.0), (0.0, 0.0, 0.0))
-    with pytest.raises(DegenerateBackground):
-        chromaticity_distortion((10.0, 10.0, 10.0), (1e-7, 0.0, 0.0))
+def test_near_black_background_stays_foreground():
+    # A background color shorter than MIN_BG_NORM (1e-6) casts no shadow,
+    # even where the geometry reads bd 0.5, cd 0; one just above it does.
+    wide = ShadowParams(1e-9, 1.0, 1e9)
+    for f, bg in (((10.0, 10.0, 10.0), (0.0, 0.0, 0.0)), ((5e-8, 0.0, 0.0), (1e-7, 0.0, 0.0))):
+        assert oracle_distortion(f, bg) is None
+        assert _classify(f, [bg], wide) == FOREGROUND
+        assert _classify(f, [bg]) == FOREGROUND
+    assert _classify((5e-6, 0.0, 0.0), [(1e-5, 0.0, 0.0)]) == SHADOW
 
 
 def test_shadow_params_validation():
@@ -72,75 +108,58 @@ def test_shadow_params_validation():
         ShadowParams(cd_max=0.0)
 
 
-def test_is_shadow_point_collinear_dimming():
-    p = ShadowParams(0.4, 0.95, 0.1)
+def test_collinear_dimming_is_shadow():
     b = (100.0, 100.0, 100.0)
-    f = tuple(0.7 * v for v in b)
-    assert is_shadow_point(f, b, p)
+    assert _classify(tuple(0.7 * v for v in b), [b]) == SHADOW
 
 
-def test_is_shadow_point_unchanged_pixel_is_not_shadow():
-    p = ShadowParams(0.4, 0.95, 0.1)
+def test_unchanged_pixel_is_not_shadow():
     b = (100.0, 100.0, 100.0)
-    assert not is_shadow_point(b, b, p)  # BD = 1 > bd_high
+    assert _classify(b, [b]) == FOREGROUND  # BD = 1 > bd_high
 
 
-def test_is_shadow_point_worked_example():
-    p = ShadowParams(0.4, 0.95, 0.1)
-    assert is_shadow_point((60.0, 70.0, 60.0), (100.0, 100.0, 100.0), p)
+def test_shadow_worked_example():
+    assert _classify((60.0, 70.0, 60.0), [(100.0, 100.0, 100.0)]) == SHADOW
 
 
-def test_is_shadow_point_band_edges_inclusive():
-    p = ShadowParams(0.4, 0.95, 0.1)
+def test_band_edges_inclusive():
     b = (100.0, 100.0, 100.0)
-    assert is_shadow_point((40.0, 40.0, 40.0), b, p)  # BD exactly 0.4
-    assert is_shadow_point((95.0, 95.0, 95.0), b, p)  # BD exactly 0.95
-    assert not is_shadow_point((39.0, 39.0, 39.0), b, p)
-    assert not is_shadow_point((96.0, 96.0, 96.0), b, p)
+    assert _classify((40.0, 40.0, 40.0), [b]) == SHADOW  # BD exactly 0.4
+    assert _classify((95.0, 95.0, 95.0), [b]) == SHADOW  # BD exactly 0.95
+    assert _classify((39.0, 39.0, 39.0), [b]) == FOREGROUND
+    assert _classify((96.0, 96.0, 96.0), [b]) == FOREGROUND
 
 
-def test_is_shadow_point_chromatic_object_rejected():
-    p = ShadowParams(0.4, 0.95, 0.1)
+def test_chromatic_object_is_not_shadow():
     # brick color over gray background: inside the brightness band but far
     # off the chromaticity axis
-    assert not is_shadow_point((180.0, 60.0, 60.0), (120.0, 120.0, 120.0), p)
+    assert _classify((180.0, 60.0, 60.0), [(120.0, 120.0, 120.0)]) == FOREGROUND
 
 
-def test_is_shadow_point_degenerate_is_false():
-    p = ShadowParams(0.4, 0.95, 0.1)
-    assert not is_shadow_point((10.0, 10.0, 10.0), (0.0, 0.0, 0.0), p)
+def test_background_passes_through():
+    # A dimmed copy, so it would be a shadow if it were foreground.
+    assert _classify((70.0, 70.0, 70.0), [(100.0, 100.0, 100.0)], label=BACKGROUND) == BACKGROUND
 
 
-def test_refine_label_background_passthrough():
-    p = ShadowParams(0.4, 0.95, 0.1)
-    out = refine_label(BACKGROUND, (1.0, 2.0, 3.0), [(100.0, 100.0, 100.0)], 1, p)
-    assert out == BACKGROUND
-
-
-def test_refine_label_downgrades_dimmed_foreground():
-    p = ShadowParams(0.4, 0.95, 0.1)
+def test_dimmed_foreground_becomes_shadow():
     means = [(100.0, 100.0, 100.0), (200.0, 200.0, 200.0)]
-    f = (70.0, 70.0, 70.0)
-    assert refine_label(FOREGROUND, f, means, 1, p) == SHADOW
+    assert _classify((70.0, 70.0, 70.0), means, b_count=1) == SHADOW
 
 
-def test_refine_label_any_background_mean_counts():
-    p = ShadowParams(0.4, 0.95, 0.1)
+def test_any_background_mean_counts():
     means = [(10.0, 200.0, 10.0), (100.0, 100.0, 100.0)]
     f = (70.0, 70.0, 70.0)  # shadows the second mean only
-    assert refine_label(FOREGROUND, f, means, 2, p) == SHADOW
+    assert _classify(f, means, b_count=2) == SHADOW
     # with B=1 only the first mean is background, so it stays foreground
-    assert refine_label(FOREGROUND, f, means, 1, p) == FOREGROUND
+    assert _classify(f, means, b_count=1) == FOREGROUND
 
 
-def test_refine_label_keeps_true_foreground():
-    p = ShadowParams(0.4, 0.95, 0.1)
-    means = [(100.0, 100.0, 100.0)]
-    assert refine_label(FOREGROUND, (250.0, 20.0, 20.0), means, 1, p) == FOREGROUND
+def test_true_foreground_stays():
+    assert _classify((250.0, 20.0, 20.0), [(100.0, 100.0, 100.0)]) == FOREGROUND
 
 
 def test_refine_classes_matches_scalar():
-    p = ShadowParams(0.4, 0.95, 0.1)
+    # The scalar reference is oracle_refine, one pixel at a time.
     rng = np.random.default_rng(31)
     n, k = 400, 3
     z = rng.uniform(0.0, 255.0, (n, 3))
@@ -150,18 +169,19 @@ def test_refine_classes_matches_scalar():
     z[40:120] = means[0, 40:120] * rng.uniform(0.45, 0.9, (80, 1))
     b = rng.integers(1, k + 1, n)
     labels = np.where(rng.random(n) < 0.6, FOREGROUND, BACKGROUND).astype(np.uint8)
-    out = refine_classes(labels, z, means, b, p)
+    out = refine_classes(labels, z, means, b, P)
     for j in range(n):
-        mean_list = [tuple(means[i, j]) for i in range(k)]
-        expect = refine_label(int(labels[j]), tuple(z[j]), mean_list, int(b[j]), p)
+        mean_list = [means[i, j].tolist() for i in range(k)]
+        expect = oracle_refine(
+            int(labels[j]), z[j].tolist(), mean_list, int(b[j]), P.bd_low, P.bd_high, P.cd_max
+        )
         assert out[j] == expect, f"pixel {j}"
 
 
 def test_refine_classes_no_foreground_short_circuit():
-    p = ShadowParams(0.4, 0.95, 0.1)
     labels = np.full(10, BACKGROUND, dtype=np.uint8)
     z = np.zeros((10, 3))
     means = np.zeros((2, 10, 3))
     b = np.ones(10, dtype=np.int64)
-    out = refine_classes(labels, z, means, b, p)
+    out = refine_classes(labels, z, means, b, P)
     assert np.array_equal(out, labels)
