@@ -26,6 +26,16 @@ def _seeded(params, first):
     return fm
 
 
+def test_seed_model():
+    p = ModelParams(var_init=225.0)
+    fm = _seeded(p, (100.0, 100.0, 100.0))
+    assert fm.live_count[0] == 1
+    assert pixel_state(fm, 0) == oracle_init((100.0, 100.0, 100.0), oracle_params(var_init=225.0))
+    assert fm.weights[0, 0] == 1.0
+    assert fm.means[0, 0].tolist() == [100.0, 100.0, 100.0]
+    assert fm.variances[0, 0] == 225.0
+
+
 def test_init_at_black():
     fm = _seeded(ModelParams(), (0.0, 0.0, 0.0))
     assert fm.means[0, 0].tolist() == [0.0, 0.0, 0.0]

@@ -90,11 +90,26 @@ def test_near_black_background_stays_foreground():
     # A background color shorter than MIN_BG_NORM (1e-6) casts no shadow,
     # even where the geometry reads bd 0.5, cd 0; one just above it does.
     wide = ShadowParams(1e-9, 1.0, 1e9)
-    for f, bg in (((10.0, 10.0, 10.0), (0.0, 0.0, 0.0)), ((5e-8, 0.0, 0.0), (1e-7, 0.0, 0.0))):
-        assert oracle_distortion(f, bg) is None
-        assert _classify(f, [bg], wide) == FOREGROUND
-        assert _classify(f, [bg]) == FOREGROUND
+    f, bg = (5e-8, 0.0, 0.0), (1e-7, 0.0, 0.0)
+    assert oracle_distortion(f, bg) is None
+    assert _classify(f, [bg], wide) == FOREGROUND
+    assert _classify(f, [bg]) == FOREGROUND
     assert _classify((5e-6, 0.0, 0.0), [(1e-5, 0.0, 0.0)]) == SHADOW
+
+
+def test_black_background_is_skipped_not_fatal():
+    # A black background mean is never shadowed, and it does not stop a
+    # later background mean from shadowing the pixel.
+    wide = ShadowParams(1e-9, 1.0, 1e9)
+    f, black = (10.0, 10.0, 10.0), (0.0, 0.0, 0.0)
+    assert oracle_distortion(f, black) is None
+    assert _classify(f, [black], wide) == FOREGROUND
+    assert _classify(f, [black]) == FOREGROUND
+    means = [black, (100.0, 100.0, 100.0)]
+    f = (70.0, 70.0, 70.0)
+    assert oracle_refine(FOREGROUND, f, means, 2, P.bd_low, P.bd_high, P.cd_max) == SHADOW
+    assert _classify(f, means) == SHADOW
+    assert _classify(f, means, b_count=1) == FOREGROUND
 
 
 def test_shadow_params_validation():
