@@ -25,13 +25,22 @@ missed, the gathers would cost more than they save, and slots 1..k-1 of
 every pixel are tested densely. One threshold on that fraction picks
 the branch once per frame; both find the same first matching slot.
 
-State is updated in place. Per-pixel slot reads and writes go through
-flat indices (slot * n + pixel) into raveled views, and only for the
-pixels concerned: matched pixels update their matched slot, unmatched
-pixels fill a fresh one and renormalize. The per-pixel rank order is
-restored by a network of adjacent compare-exchange steps that swap only
-on a strictly higher rank, which keeps ties in their slot order exactly
-as a stable sort does.
+State is updated in place. After a sparse match, the pixels that
+matched slot 0 (about 95% of a static frame) are blended directly on the
+dense slot-0 rows, in chunks of BLEND_CHUNK pixels, with a per-pixel rho
+that is zero where slot 0 did not match: for finite samples, such as
+pixel values, mu * 1.0 + 0.0 * z and var * 1.0 + 0.0 leave those pixels
+exactly as they were. The variance floor and the weight reward are
+masked to the matches, since a fresh var_init may lie below var_min.
+Every other per-pixel slot read and write goes through flat indices
+(slot * n + pixel) into raveled views, and only for the pixels
+concerned: pixels matched at a later slot, or at any slot after a
+crowded match, gather, blend and scatter their matched slot; unmatched
+pixels fill a fresh one and renormalize. Both blends run one helper,
+so the state does not depend on which of them a pixel took. The
+per-pixel rank order is restored by a network of adjacent
+compare-exchange steps that swap only on a strictly higher rank, which
+keeps ties in their slot order exactly as a stable sort does.
 
 Slots beyond a pixel's live count hold weight exactly 0.0 and never
 influence sums, matching or the background prefix.
@@ -40,11 +49,12 @@ Each FrameModel owns the work buffers of its observe() calls: the d2
 block, two (n, 3) row buffers, and n-sized float, index and mask
 buffers, allocated on the first observe() after the seeding one and
 reused for every frame after that, through out= arguments and [:m]
-views. The reason is memory, not arithmetic: fresh temporaries for
-every frame (about 8.8 times 24 bytes a pixel) would be handed back to
-the system by the C allocator between frames, and every frame would
-fault in fresh zeroed pages again (about 7,400 minor faults a frame at
-640x480). The buffers are per model, never shared, since band models
+views; the chunked slot-0 blend reuses their leading BLEND_CHUNK rows
+and writes nothing into z. The reason is memory, not arithmetic: fresh
+temporaries for every frame (about 8.8 times 24 bytes a pixel) would be
+handed back to the system by the C allocator between frames, and every
+frame would fault in fresh zeroed pages again (about 7,400 minor faults
+a frame at 640x480). The buffers are per model, never shared, since band models
 run on threads at once. Construction and the seeding frame do not touch
 them. The arrays observe() returns are fresh and belong to the caller.
 """
@@ -60,6 +70,14 @@ from .gmm import BACKGROUND, FOREGROUND, GAUSS_NORM_3D, PDF_FAITHFUL, ModelParam
 # Slots 1..k-1 are tested on gathered rows when at most this fraction of
 # pixels missed slot 0, and as one dense block otherwise.
 SPARSE_MISS_FRACTION = 0.2
+
+# Pixels per chunk of the in-place slot-0 blend of a sparse frame, so that
+# its (chunk, 3) temporaries (384 KiB each at 16384) stay in cache.
+# observe() per vga640 frame, mean of the best of 6-8 passes over the 49
+# seed-1 frames, chunk sizes interleaved (2-vCPU shared Xeon, 4 MiB L2 a
+# core): 4096, 8192 and 16384 read 19.9-21.6 ms, 32768 21.5-22.3 ms,
+# 65536 23.6 ms, one chunk of all 307200 pixels 25.4 ms.
+BLEND_CHUNK = 16384
 
 
 class FrameModel:
@@ -126,13 +144,14 @@ class FrameModel:
         diff = s.rows[0]
         np.subtract(z, mu[0], out=diff)
         _sq_norm(diff, d2[0])
-        unmatched = np.less(d2[0], np.multiply(limit, var[0], out=s.f0), out=s.m0)
-        np.logical_not(unmatched, out=unmatched)
+        hit0 = np.less(d2[0], np.multiply(limit, var[0], out=s.f0), out=s.hit0)
+        unmatched = np.logical_not(hit0, out=s.m0)
         # jm counts the slots before the first match: the first matching
         # slot (unused where nothing matched). It becomes the returned pos.
         jm = np.zeros(n, dtype=np.int64)
         n_miss = np.count_nonzero(unmatched)
-        if n_miss <= SPARSE_MISS_FRACTION * n:
+        sparse = n_miss <= SPARSE_MISS_FRACTION * n
+        if sparse:
             # Few misses: test slot j only for pixels that missed slots
             # 0..j-1 and have more than j live slots, on gathered rows. A
             # match keeps its d2 in the block for the pdf mode. rest moves
@@ -174,10 +193,16 @@ class FrameModel:
                 np.less(d2[j], np.multiply(limit, var[j], out=s.f0), out=hit)
                 hit &= np.greater(count, j, out=live)
                 unmatched &= np.logical_not(hit, out=hit)
+        # The gathered update takes every matched pixel after a crowded
+        # match, and only those matched at slot 1 or later after a sparse
+        # one: slot-0 matches are then blended in place, below.
+        gathered = np.logical_not(unmatched, out=s.m1)
+        if sparse:
+            gathered &= np.logical_not(hit0, out=s.m2)
         n_u = np.count_nonzero(unmatched)
-        m = n - n_u
-        im = np.compress(np.logical_not(unmatched, out=s.m1), s.index, out=s.i0[:m])
-        iu = np.compress(unmatched, s.index, out=s.i0[m:])
+        m = np.count_nonzero(gathered)
+        im = np.compress(gathered, s.index, out=s.i0[:m])
+        iu = np.compress(unmatched, s.index, out=s.i0[m : m + n_u])
         fm = _take(jm, im, s.i1)
         fm *= n
         fm += im
@@ -185,6 +210,27 @@ class FrameModel:
         if pdf_mode:
             # Taken now: the block holds other things until the sort.
             d2_m = _take(d2.reshape(-1), fm, s.f0)
+        if sparse:
+            # Slot 0 in place, in chunks whose temporaries stay in cache,
+            # with rho zero where slot 0 did not match: mu * 1.0 + 0.0 * z
+            # and var * 1.0 + 0.0 leave those pixels exactly as they were.
+            # The floor skips them, since a fresh var_init may sit below
+            # var_min. Means and variances do not depend on the weights, so
+            # this runs before the slot choice reuses the d2 block.
+            for a in range(0, n, BLEND_CHUNK):
+                cut = slice(a, a + BLEND_CHUNK)
+                hit_c = hit0[cut]
+                c = hit_c.size
+                var_c = var[0, cut]
+                rho = s.f1[:c]
+                if pdf_mode:
+                    _pdf_rho(var_c, d2[0, cut], p.alpha, rho, s.f2[:c])
+                    rho *= hit_c
+                else:
+                    np.multiply(hit_c, p.alpha, out=rho)
+                keep = np.subtract(1.0, rho, out=s.f2[:c])
+                _blend(mu[0, cut], var_c, z[cut], rho, keep, s.rows[0][:c], s.rows[1][:c], s.f3[:c])
+                np.maximum(var_c, p.var_min, out=var_c, where=hit_c)
 
         # Unmatched pixels go to the next free slot, else to the lowest-weight
         # one (the first on ties), chosen before any decay. A pixel that is
@@ -211,8 +257,11 @@ class FrameModel:
         # Every pixel decays all its live weights. Dead slots stay 0.0, and
         # an unmatched pixel's replaced slot is overwritten below.
         w *= 1.0 - p.alpha
+        if sparse:
+            np.add(w[0], p.alpha, out=w[0], where=hit0)
 
-        # Matched pixels: reward the match, pull its mean and variance to z.
+        # Gathered matched pixels: reward the match, pull its mean and
+        # variance to z.
         z_m = _take(z, im, s.rows[0])
         w_m = _take(w_flat, fm, s.f1)
         w_m += p.alpha
@@ -220,31 +269,12 @@ class FrameModel:
         mu_j = _take(mu_flat, fm, s.rows[1])
         var_j = _take(var_flat, fm, s.f1)
         if pdf_mode:
-            # alpha * GAUSS_NORM_3D * var_j**-1.5 * exp(-d2_m / (2 var_j)),
-            # clipped to [0, 1].
-            rho_j = np.power(var_j, -1.5, out=s.f2[:m])
-            rho_j *= GAUSS_NORM_3D
-            np.negative(d2_m, out=d2_m)
-            d2_m /= np.multiply(2.0, var_j, out=s.f3[:m])
-            rho_j *= np.exp(d2_m, out=s.f3[:m])
-            rho_j *= p.alpha
-            np.clip(rho_j, 0.0, 1.0, out=rho_j)
-            rho_col = rho_j[:, None]
+            rho_j = _pdf_rho(var_j, d2_m, p.alpha, s.f2[:m], s.f3[:m])
             keep = np.subtract(1.0, rho_j, out=s.f3[:m])
-            keep_col = keep[:, None]
         else:
-            rho_j = rho_col = p.alpha
-            keep = keep_col = 1.0 - p.alpha
-        mu_j *= keep_col
-        mu_j += np.multiply(rho_col, z_m, out=s.block[: 3 * m].reshape(m, 3))
-        # Variance is pulled toward the squared distance from the new mean.
-        dn = np.subtract(z_m, mu_j, out=z_m)
-        dn *= dn
-        d2n = np.add(dn[:, 0], dn[:, 1], out=s.f0[:m])
-        d2n += dn[:, 2]
-        d2n *= rho_j
-        var_j *= keep
-        var_j += d2n
+            rho_j = p.alpha
+            keep = 1.0 - p.alpha
+        _blend(mu_j, var_j, z_m, rho_j, keep, s.block[: 3 * m].reshape(m, 3), z_m, s.f0[:m])
         mu_rows[fm] = _rows(mu_j)
         var_flat[fm] = np.maximum(var_j, p.var_min, out=var_j)
 
@@ -322,8 +352,9 @@ class FrameModel:
 class _Scratch:
     """Work buffers of one FrameModel's observe(), each sized for all n
     pixels; a step over m pixels uses [:m] views. Steps that do not overlap
-    share a buffer, so the set (about 147 bytes a pixel at k = 3) is
-    smaller than the temporaries a frame allocated without it."""
+    share a buffer, so the set (about 148 bytes a pixel at k = 3) is
+    smaller than the temporaries a frame allocated without it. hit0 holds
+    the slot-0 matches from the match test to the weight reward."""
 
     def __init__(self, k: int, n: int):
         self.index = np.arange(n)
@@ -334,6 +365,7 @@ class _Scratch:
         self.f0, self.f1, self.f2, self.f3 = np.empty((4, n))
         self.i0, self.i1, self.i2, self.i3 = np.empty((4, n), dtype=np.int64)
         self.m0, self.m1, self.m2 = np.empty((3, n), dtype=bool)
+        self.hit0 = np.empty(n, dtype=bool)
 
 
 def _take(a: np.ndarray, idx: np.ndarray, buf: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -346,6 +378,45 @@ def _take(a: np.ndarray, idx: np.ndarray, buf: np.ndarray, axis: int = 0) -> np.
     shape[axis] = idx.size
     out = buf.reshape(-1)[: math.prod(shape)].reshape(shape)
     return np.take(a, idx, axis=axis, out=out, mode="clip")
+
+
+def _pdf_rho(
+    var: np.ndarray, d2: np.ndarray, alpha: float, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """out = alpha * GAUSS_NORM_3D * var**-1.5 * exp(-d2 / (2 var)), clipped
+    to [0, 1]; d2 is overwritten, tmp is scratch of the same size."""
+    np.power(var, -1.5, out=out)
+    out *= GAUSS_NORM_3D
+    np.negative(d2, out=d2)
+    d2 /= np.multiply(2.0, var, out=tmp)
+    out *= np.exp(d2, out=tmp)
+    out *= alpha
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _blend(
+    mu: np.ndarray,
+    var: np.ndarray,
+    z: np.ndarray,
+    rho: np.ndarray | float,
+    keep: np.ndarray | float,
+    rz: np.ndarray,
+    dn: np.ndarray,
+    d2n: np.ndarray,
+) -> None:
+    """Pull the (m, 3) means mu and (m,) variances var toward the samples z
+    in place, by rho per row (keep = 1 - rho): mu = keep mu + rho z, then
+    var = keep var + rho |z - mu|^2 against the new mean, before the floor.
+    rz, dn and d2n are work buffers of the same sizes; dn may be z itself,
+    which is then overwritten, and z is only read otherwise."""
+    rho_col = rho[:, None] if isinstance(rho, np.ndarray) else rho
+    keep_col = keep[:, None] if isinstance(keep, np.ndarray) else keep
+    mu *= keep_col
+    mu += np.multiply(rho_col, z, out=rz)
+    _sq_norm(np.subtract(z, mu, out=dn), d2n)
+    d2n *= rho
+    var *= keep
+    var += d2n
 
 
 def _sq_norm(diff: np.ndarray, out: np.ndarray) -> None:

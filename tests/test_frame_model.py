@@ -136,6 +136,55 @@ def test_equivalence_switching_sparse_and_crowded(k, rho_mode):
     assert np.count_nonzero(np.diff(sparse.astype(int))) >= 6
 
 
+@pytest.mark.parametrize("rho_mode", [FIXED_ALPHA, PDF_FAITHFUL])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_variance_floor_spares_unmatched_slot_0(k, rho_mode):
+    # var_init below var_min: slot 0 is fresh (var_init) after the seeding
+    # frame and after a replacement at k = 1, so pixels that miss it keep
+    # a slot-0 variance under the floor that must not be raised, while
+    # their neighbours that match slot 0 are floored in place. On frame 1,
+    # 12% of the pixels jump far from their seed value.
+    p = ModelParams(k=k, alpha=0.03, var_init=100.0, var_min=150.0, rho_mode=rho_mode)
+    rng = np.random.default_rng(33)
+    frames = _static_stream(rng, 200, 40)
+    jump = rng.random(200) < 0.12
+    z = frames[1][jump]
+    frames[1][jump] = np.where(z < 128.0, z + 80.0, z - 80.0)
+    first = _check_against_oracle(p, frames, exact=rho_mode == FIXED_ALPHA)
+    assert np.all((first != 0).mean(axis=1) <= SPARSE_MISS_FRACTION)
+    fm = FrameModel(p, len(frames[0]))
+    fm.observe(frames[0])
+    low_misses = 0
+    for z in frames[1:]:
+        low_misses += np.count_nonzero((_first_match(fm, z) != 0) & (fm.variances[0] < p.var_min))
+        fm.observe(z)
+    assert low_misses >= 20
+    if k > 1:
+        assert np.count_nonzero(first > 0) >= 20
+
+
+@pytest.mark.parametrize("crowded", [False, True])
+def test_samples_are_only_read(crowded):
+    # observe() may not write into z, on either match branch: a read-only
+    # z must give the same run as a writable one.
+    rng = np.random.default_rng(44)
+    n = 300
+    frames = _frame_stream(rng, n, 8) if crowded else _static_stream(rng, n, 8)
+    for rho_mode in (FIXED_ALPHA, PDF_FAITHFUL):
+        p = ModelParams(k=3, alpha=0.3, rho_mode=rho_mode)
+        want = _run_alone(p, [z.copy() for z in frames])
+        fm = FrameModel(p, n)
+        outs = []
+        for f_idx, z in enumerate(frames):
+            if f_idx == 3:
+                misses = (_first_match(fm, z) != 0).mean()
+                assert (misses > SPARSE_MISS_FRACTION) == crowded
+            z = z.copy()
+            z.flags.writeable = False
+            outs.append(fm.observe(z))
+        _assert_same_run(fm, outs, want)
+
+
 @pytest.mark.parametrize("n_still", [19, 0])
 def test_dead_slot_is_never_matched(n_still):
     # Slot 1 is dead: mean 0 and variance var_init = 225, so (5, 5, 5) lies
