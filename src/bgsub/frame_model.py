@@ -211,12 +211,10 @@ class FrameModel:
             # Taken now: the block holds other things until the sort.
             d2_m = _take(d2.reshape(-1), fm, s.f0)
         if sparse:
-            # Slot 0 in place, in chunks whose temporaries stay in cache,
-            # with rho zero where slot 0 did not match: mu * 1.0 + 0.0 * z
-            # and var * 1.0 + 0.0 leave those pixels exactly as they were.
-            # The floor skips them, since a fresh var_init may sit below
-            # var_min. Means and variances do not depend on the weights, so
-            # this runs before the slot choice reuses the d2 block.
+            # Slot-0 matches in place, rho zero elsewhere (module
+            # docstring). Means and variances do not depend on the weights,
+            # so this runs before the slot choice reuses the d2 block; the
+            # reward waits for the decay.
             for a in range(0, n, BLEND_CHUNK):
                 cut = slice(a, a + BLEND_CHUNK)
                 hit_c = hit0[cut]
