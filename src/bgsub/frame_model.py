@@ -382,7 +382,7 @@ def _pdf_rho(
     var: np.ndarray, d2: np.ndarray, alpha: float, out: np.ndarray, tmp: np.ndarray
 ) -> np.ndarray:
     """out = alpha * GAUSS_NORM_3D * var**-1.5 * exp(-d2 / (2 var)), clipped
-    to [0, 1]; d2 is overwritten, tmp is scratch of the same size."""
+    to [0, 1]; d2 is overwritten, tmp is a work buffer of the same size."""
     np.power(var, -1.5, out=out)
     out *= GAUSS_NORM_3D
     np.negative(d2, out=d2)
