@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import benchmark
@@ -28,18 +29,17 @@ def _parse_emit(text: str) -> EmitFlags:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if args.input is not None:
-        config.input = args.input
-    if args.output is not None:
-        config.output = args.output
-    if args.frames is not None:
-        config.max_frames = args.frames
-    if args.width is not None:
-        config.width = args.width
-    if args.height is not None:
-        config.height = args.height
-    if args.emit is not None:
-        config.emit = _parse_emit(args.emit)
+    overrides = {
+        "input": args.input,
+        "output": args.output,
+        "max_frames": args.frames,
+        "width": args.width,
+        "height": args.height,
+        "emit": None if args.emit is None else _parse_emit(args.emit),
+    }
+    # replace() runs RunConfig's validation again, so a flag is checked
+    # exactly as the same value in the config file would be.
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     stats = run_pipeline(config)
     print(json.dumps(stats, indent=2))
     return 0

@@ -1,14 +1,23 @@
-"""Run configuration: dataclasses plus strict JSON loading.
+"""Run configuration: dataclasses plus one strict JSON loader.
 
-Every section rejects unknown keys so a typo in a config file fails the
-run instead of silently using a default.
+`from_json` builds any of the package's parameter dataclasses (the run
+config here, the scene spec in `scenes.py`) from parsed JSON. The keys,
+defaults and types it accepts come from the dataclass declarations
+alone: unknown keys and missing required keys are rejected, so a typo
+in a file fails the run instead of silently using a default. `bool` is
+never taken for an `int`, an `int` is converted where a `float` is
+declared, `null` is accepted only for `X | None` fields, fixed-length
+tuples (colors, rects) must be lists of exactly that length, and
+strings must be non-empty. Every error names the full key path, such as
+`config.model.alpha` or `scene.actors[0].waypoints[1].x`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .events import EventParams, Zone
 from .gmm import ModelParams
@@ -68,109 +77,55 @@ class RunConfig:
             raise ValueError(f"zone names must be unique, got {names}")
 
 
-def _build(cls, data, where: str):
-    """Instantiate a flat parameter dataclass from a JSON object."""
+def from_json(cls, data, where: str):
+    """Build dataclass `cls` from a parsed JSON object; errors name `where`."""
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected an object, got {type(data).__name__}")
-    allowed = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(data) - set(allowed))
+    declared = fields(cls)
+    unknown = sorted(set(data) - {f.name for f in declared})
     if unknown:
         raise ValueError(f"{where}: unknown keys {unknown}")
-    kwargs = {}
-    for key, value in data.items():
-        ftype = allowed[key].type
-        if ftype == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{where}.{key}: expected a number, got {value!r}")
-            kwargs[key] = float(value)
-        elif ftype == "int":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{where}.{key}: expected an integer, got {value!r}")
-            kwargs[key] = value
-        elif ftype == "bool":
-            if not isinstance(value, bool):
-                raise ValueError(f"{where}.{key}: expected true/false, got {value!r}")
-            kwargs[key] = value
-        else:
-            if not isinstance(value, str):
-                raise ValueError(f"{where}.{key}: expected a string, got {value!r}")
-            kwargs[key] = value
+    for f in declared:
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{where}: missing required key {f.name!r}")
+    hints = get_type_hints(cls)
+    kwargs = {key: _from_json_value(hints[key], value, f"{where}.{key}") for key, value in data.items()}
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _zone_from(data, where: str) -> Zone:
-    if not isinstance(data, dict):
-        raise ValueError(f"{where}: expected an object")
-    unknown = sorted(set(data) - {"name", "rect"})
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {unknown}")
-    name = data.get("name")
-    rect = data.get("rect")
-    if not isinstance(name, str) or not name:
-        raise ValueError(f"{where}.name: expected a non-empty string")
-    if (
-        not isinstance(rect, list)
-        or len(rect) != 4
-        or any(isinstance(v, bool) or not isinstance(v, int) for v in rect)
-    ):
-        raise ValueError(f"{where}.rect: expected [x0, y0, x1, y1] integers")
-    return Zone(name=name, rect=(rect[0], rect[1], rect[2], rect[3]))
-
-
-_TOP_LEVEL = {
-    "input",
-    "output",
-    "width",
-    "height",
-    "max_frames",
-    "workers",
-    "queue_depth",
-    "model",
-    "shadow",
-    "segmentation",
-    "events",
-    "zones",
-    "emit",
-}
-
-_OPTIONAL_INT = ("width", "height", "max_frames")
-_REQUIRED_INT = ("workers", "queue_depth")
+def _from_json_value(tp, value, where: str):
+    args = get_args(tp)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        (tp,) = [arg for arg in args if arg is not type(None)]
+        args = get_args(tp)
+    if is_dataclass(tp):
+        return from_json(tp, value, where)
+    origin = get_origin(tp)
+    if origin in (tuple, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: expected a list, got {value!r}")
+        if origin is tuple and args[-1] is not Ellipsis:
+            if len(value) != len(args):
+                raise ValueError(f"{where}: expected a list of {len(args)}, got {value!r}")
+            items = args
+        else:
+            items = args[:1] * len(value)
+        return origin(_from_json_value(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+    accepted = (int, float) if tp is float else tp
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
+        raise ValueError(f"{where}: expected {tp.__name__}, got {value!r}")
+    if tp is str and not value:
+        raise ValueError(f"{where}: expected a non-empty string")
+    return tp(value)
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ValueError(f"config: expected an object, got {type(data).__name__}")
-    unknown = sorted(set(data) - _TOP_LEVEL)
-    if unknown:
-        raise ValueError(f"config: unknown keys {unknown}")
-    kwargs: dict = {}
-    for key in ("input", "output"):
-        if key in data:
-            value = data[key]
-            if value is not None and not isinstance(value, str):
-                raise ValueError(f"config.{key}: expected a string path, got {value!r}")
-            kwargs[key] = value
-    for key in _OPTIONAL_INT + _REQUIRED_INT:
-        if key in data:
-            value = data[key]
-            if value is None and key in _OPTIONAL_INT:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"config.{key}: expected an integer, got {value!r}")
-            kwargs[key] = value
-    kwargs["model"] = _build(ModelParams, data.get("model", {}), "model")
-    kwargs["shadow"] = _build(ShadowParams, data.get("shadow", {}), "shadow")
-    kwargs["segmentation"] = _build(SegmentationParams, data.get("segmentation", {}), "segmentation")
-    kwargs["events"] = _build(EventParams, data.get("events", {}), "events")
-    kwargs["emit"] = _build(EmitFlags, data.get("emit", {}), "emit")
-    zones_raw = data.get("zones", [])
-    if not isinstance(zones_raw, list):
-        raise ValueError("config.zones: expected a list")
-    kwargs["zones"] = [_zone_from(z, f"zones[{i}]") for i, z in enumerate(zones_raw)]
-    return RunConfig(**kwargs)
+    return from_json(RunConfig, data, "config")
 
 
 def load_config(path: str | Path) -> RunConfig:

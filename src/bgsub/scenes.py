@@ -10,11 +10,13 @@ active shadow patches (where not occluded by an actor) as shadow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import from_json
 from .errors import SpecOutOfBounds
 from .gmm import BACKGROUND, FOREGROUND
 from .netpbm import encode_pgm, encode_ppm
@@ -94,8 +96,8 @@ class SceneSpec:
             raise SpecOutOfBounds(f"raster {self.width}x{self.height} is empty")
         if self.frames < 1:
             raise SpecOutOfBounds(f"frames must be >= 1, got {self.frames}")
-        if self.noise_sigma < 0.0:
-            raise SpecOutOfBounds(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise SpecOutOfBounds(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         _check_color(self.background, "background")
         for i, actor in enumerate(self.actors):
             self._check_actor(actor, f"actors[{i}]")
@@ -113,8 +115,10 @@ class SceneSpec:
                 raise SpecOutOfBounds(f"flickers[{i}]: period must be >= 1")
             _check_color(flicker.colors[0], f"flickers[{i}].colors[0]")
             _check_color(flicker.colors[1], f"flickers[{i}].colors[1]")
-        if self.ramp is not None and (self.ramp.start <= 0.0 or self.ramp.end <= 0.0):
-            raise SpecOutOfBounds("ramp gains must be positive")
+        if self.ramp is not None and not all(
+            math.isfinite(gain) and gain > 0.0 for gain in (self.ramp.start, self.ramp.end)
+        ):
+            raise SpecOutOfBounds(f"ramp gains must be finite and positive, got {self.ramp}")
 
     def _check_rect(self, rect: Rect, where: str) -> None:
         x0, y0, x1, y1 = rect
@@ -247,140 +251,4 @@ def standard_scene() -> SceneSpec:
 
 def scene_from_dict(data: dict) -> SceneSpec:
     """Build a SceneSpec from parsed JSON; strict about keys and shapes."""
-    if not isinstance(data, dict):
-        raise ValueError(f"scene: expected an object, got {type(data).__name__}")
-    allowed = {
-        "width",
-        "height",
-        "frames",
-        "background",
-        "noise_sigma",
-        "actors",
-        "shadows",
-        "flickers",
-        "ramp",
-    }
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ValueError(f"scene: unknown keys {unknown}")
-    kwargs: dict = {}
-    for key in ("width", "height", "frames"):
-        if key not in data:
-            raise ValueError(f"scene: missing required key {key!r}")
-        kwargs[key] = _as_int(data[key], f"scene.{key}")
-    if "background" in data:
-        kwargs["background"] = _as_color(data["background"], "scene.background")
-    if "noise_sigma" in data:
-        kwargs["noise_sigma"] = _as_float(data["noise_sigma"], "scene.noise_sigma")
-    if "actors" in data:
-        kwargs["actors"] = tuple(
-            _actor_from(a, f"scene.actors[{i}]") for i, a in enumerate(_as_list(data["actors"], "scene.actors"))
-        )
-    if "shadows" in data:
-        kwargs["shadows"] = tuple(
-            _shadow_from(s, f"scene.shadows[{i}]") for i, s in enumerate(_as_list(data["shadows"], "scene.shadows"))
-        )
-    if "flickers" in data:
-        kwargs["flickers"] = tuple(
-            _flicker_from(fl, f"scene.flickers[{i}]")
-            for i, fl in enumerate(_as_list(data["flickers"], "scene.flickers"))
-        )
-    if "ramp" in data and data["ramp"] is not None:
-        ramp = data["ramp"]
-        if not isinstance(ramp, dict) or set(ramp) != {"start", "end"}:
-            raise ValueError("scene.ramp: expected {start, end}")
-        kwargs["ramp"] = GainRamp(_as_float(ramp["start"], "scene.ramp.start"), _as_float(ramp["end"], "scene.ramp.end"))
-    return SceneSpec(**kwargs)
-
-
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_float(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{where}: expected a list")
-    return value
-
-
-def _as_color(value, where: str) -> Color:
-    if not isinstance(value, list) or len(value) != 3:
-        raise ValueError(f"{where}: expected [r, g, b]")
-    return (_as_int(value[0], where), _as_int(value[1], where), _as_int(value[2], where))
-
-
-def _as_rect(value, where: str) -> Rect:
-    if not isinstance(value, list) or len(value) != 4:
-        raise ValueError(f"{where}: expected [x0, y0, x1, y1]")
-    return tuple(_as_int(v, where) for v in value)  # type: ignore[return-value]
-
-
-def _actor_from(data, where: str) -> Actor:
-    if not isinstance(data, dict):
-        raise ValueError(f"{where}: expected an object")
-    unknown = sorted(set(data) - {"size", "color", "waypoints", "halt_at", "from_frame", "to_frame"})
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {unknown}")
-    size = data.get("size")
-    if not isinstance(size, list) or len(size) != 2:
-        raise ValueError(f"{where}.size: expected [w, h]")
-    waypoints = []
-    for j, wp in enumerate(_as_list(data.get("waypoints", []), f"{where}.waypoints")):
-        if not isinstance(wp, dict) or set(wp) != {"frame", "x", "y"}:
-            raise ValueError(f"{where}.waypoints[{j}]: expected {{frame, x, y}}")
-        waypoints.append(
-            Waypoint(
-                _as_int(wp["frame"], f"{where}.waypoints[{j}].frame"),
-                _as_int(wp["x"], f"{where}.waypoints[{j}].x"),
-                _as_int(wp["y"], f"{where}.waypoints[{j}].y"),
-            )
-        )
-    halt = data.get("halt_at")
-    to_frame = data.get("to_frame")
-    return Actor(
-        size=(_as_int(size[0], f"{where}.size"), _as_int(size[1], f"{where}.size")),
-        color=_as_color(data.get("color"), f"{where}.color"),
-        waypoints=tuple(waypoints),
-        halt_at=None if halt is None else _as_int(halt, f"{where}.halt_at"),
-        from_frame=_as_int(data.get("from_frame", 0), f"{where}.from_frame"),
-        to_frame=None if to_frame is None else _as_int(to_frame, f"{where}.to_frame"),
-    )
-
-
-def _shadow_from(data, where: str) -> ShadowPatch:
-    if not isinstance(data, dict):
-        raise ValueError(f"{where}: expected an object")
-    unknown = sorted(set(data) - {"rect", "gain", "from_frame", "to_frame"})
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {unknown}")
-    to_frame = data.get("to_frame")
-    return ShadowPatch(
-        rect=_as_rect(data.get("rect"), f"{where}.rect"),
-        gain=_as_float(data.get("gain"), f"{where}.gain"),
-        from_frame=_as_int(data.get("from_frame", 0), f"{where}.from_frame"),
-        to_frame=None if to_frame is None else _as_int(to_frame, f"{where}.to_frame"),
-    )
-
-
-def _flicker_from(data, where: str) -> Flicker:
-    if not isinstance(data, dict):
-        raise ValueError(f"{where}: expected an object")
-    unknown = sorted(set(data) - {"rect", "colors", "period"})
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {unknown}")
-    colors = data.get("colors")
-    if not isinstance(colors, list) or len(colors) != 2:
-        raise ValueError(f"{where}.colors: expected two [r, g, b] entries")
-    return Flicker(
-        rect=_as_rect(data.get("rect"), f"{where}.rect"),
-        colors=(_as_color(colors[0], f"{where}.colors[0]"), _as_color(colors[1], f"{where}.colors[1]")),
-        period=_as_int(data.get("period"), f"{where}.period"),
-    )
+    return from_json(SceneSpec, data, "scene")

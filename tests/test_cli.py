@@ -177,6 +177,23 @@ def test_bad_config_exits_one(work, tmp_path):
     assert b"alpha" in result.stderr
 
 
+def test_flag_overrides_are_validated(work, tmp_path):
+    result = _run(
+        "run",
+        "--config",
+        str(work["config"]),
+        "--input",
+        str(work["root"] / "scene"),
+        "--output",
+        str(tmp_path / "out"),
+        "--frames",
+        "-1",
+    )
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert b"max_frames" in result.stderr
+
+
 def test_missing_input_exits_one(work, tmp_path):
     result = _run(
         "run", "--config", str(work["config"]), "--input", str(tmp_path / "nowhere")

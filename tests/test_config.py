@@ -1,14 +1,15 @@
 """Config parsing: defaults, strictness, and error paths."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
 from bgsub.config import EmitFlags, RunConfig, SegmentationParams, config_from_dict, load_config
-from bgsub.events import EventParams
-from bgsub.gmm import FIXED_ALPHA, ModelParams
+from bgsub.events import EventParams, Zone
+from bgsub.gmm import FIXED_ALPHA, PDF_FAITHFUL, ModelParams
 from bgsub.shadow import ShadowParams
-from bgsub.segmentation import EIGHT
+from bgsub.segmentation import EIGHT, FOUR
 
 
 def test_empty_config_gives_defaults():
@@ -81,6 +82,10 @@ def test_type_errors_name_the_path():
         config_from_dict({"workers": "two"})
     with pytest.raises(ValueError, match="config.input"):
         config_from_dict({"input": 7})
+    with pytest.raises(ValueError, match="config.workers"):
+        config_from_dict({"workers": None})
+    with pytest.raises(ValueError, match="config.input: expected a non-empty string"):
+        config_from_dict({"input": ""})
 
 
 def test_bool_is_not_an_int():
@@ -93,6 +98,11 @@ def test_bool_is_not_an_int():
 def test_int_accepted_for_float_field():
     cfg = config_from_dict({"shadow": {"cd_max": 1}})
     assert cfg.shadow.cd_max == 1.0
+
+
+def test_int_for_float_field_is_stored_as_float():
+    cfg = config_from_dict({"model": {"var_init": 225}, "events": {"eps_move": 2}})
+    assert type(cfg.model.var_init) is float and type(cfg.events.eps_move) is float
 
 
 def test_section_must_be_object():
@@ -118,6 +128,12 @@ def test_zone_parsing_errors():
         )
     with pytest.raises(ValueError, match="config.zones"):
         config_from_dict({"zones": {"name": "a"}})
+    with pytest.raises(ValueError, match=r"zones\[0\]: missing required key 'name'"):
+        config_from_dict({"zones": [{"rect": [0, 0, 1, 1]}]})
+    with pytest.raises(ValueError, match=r"zones\[0\].name"):
+        config_from_dict({"zones": [{"name": None, "rect": [0, 0, 1, 1]}]})
+    with pytest.raises(ValueError, match=r"zones\[0\].rect\[3\]"):
+        config_from_dict({"zones": [{"name": "a", "rect": [0, 0, 1, True]}]})
 
 
 def test_duplicate_zone_names_rejected():
@@ -164,6 +180,29 @@ def test_non_finite_floats_rejected(section, cls, name, literal):
 def test_null_optional_ints_allowed():
     cfg = config_from_dict({"width": None, "max_frames": None})
     assert cfg.width is None and cfg.max_frames is None
+
+
+def test_asdict_json_round_trip():
+    # The benchmark writes a run config as json.dumps(asdict(config)) and
+    # its stream child reads it back with load_config.
+    cfg = RunConfig(
+        input="frames/",
+        output="out/",
+        width=320,
+        height=240,
+        max_frames=50,
+        workers=3,
+        queue_depth=8,
+        model=ModelParams(
+            k=4, alpha=0.005, t=0.8, d=3.0, var_init=100.0, w_init=0.1, var_min=2.0, rho_mode=PDF_FAITHFUL
+        ),
+        shadow=ShadowParams(bd_low=0.5, bd_high=0.9, cd_max=0.08),
+        segmentation=SegmentationParams(connectivity=FOUR, min_area=9),
+        events=EventParams(max_assoc_dist=12.5, eps_move=1.5, n_static=60, track_timeout=10),
+        zones=[Zone("door", (0, 0, 30, 60)), Zone("window", (100, 0, 130, 40))],
+        emit=EmitFlags(masks=False, overlays=False, events=False, stats=False),
+    )
+    assert config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 def test_load_config_roundtrip(tmp_path):

@@ -1,5 +1,9 @@
 """Scene generator: determinism, geometry, and ground-truth semantics."""
 
+import json
+import math
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -259,6 +263,93 @@ def test_scene_from_dict_errors():
         scene_from_dict({"width": 10, "height": 10, "frames": 2, "ramp": {"start": 1.0}})
     with pytest.raises(ValueError, match="scene.width"):
         scene_from_dict({"width": "ten", "height": 10, "frames": 2})
+    with pytest.raises(ValueError, match="scene.frames"):
+        scene_from_dict({"width": 10, "height": 10, "frames": None})
+    with pytest.raises(ValueError, match="scene.background: expected a list of 3"):
+        scene_from_dict({"width": 10, "height": 10, "frames": 2, "background": [1, 2]})
+    with pytest.raises(ValueError, match=r"scene.flickers\[0\].colors: expected a list of 2"):
+        scene_from_dict(
+            {
+                "width": 10,
+                "height": 10,
+                "frames": 2,
+                "flickers": [{"rect": [0, 0, 1, 1], "colors": [[0, 0, 0], [9, 9, 9], [1, 1, 1]], "period": 2}],
+            }
+        )
+    with pytest.raises(ValueError, match=r"scene.actors\[0\].waypoints\[1\]: missing required key 'y'"):
+        scene_from_dict(
+            {
+                "width": 10,
+                "height": 10,
+                "frames": 2,
+                "actors": [
+                    {"size": [2, 2], "color": [1, 1, 1], "waypoints": [{"frame": 0, "x": 0, "y": 0}, {"frame": 1, "x": 1}]}
+                ],
+            }
+        )
+    with pytest.raises(ValueError, match=r"scene.actors\[0\].waypoints\[1\].x"):
+        scene_from_dict(
+            {
+                "width": 10,
+                "height": 10,
+                "frames": 2,
+                "actors": [
+                    {
+                        "size": [2, 2],
+                        "color": [1, 1, 1],
+                        "waypoints": [{"frame": 0, "x": 0, "y": 0}, {"frame": 1, "x": 1.5, "y": 0}],
+                    }
+                ],
+            }
+        )
+    with pytest.raises(ValueError, match="scene.ramp: expected an object"):
+        scene_from_dict({"width": 10, "height": 10, "frames": 2, "ramp": [1, 2]})
+
+
+# SceneSpec's float fields, each set by the JSON a scene file would hold.
+# json.dumps writes non-finite floats as the literals NaN and Infinity.
+_SCENE_FLOAT_FIELDS = {
+    "noise_sigma": lambda x: {"noise_sigma": x},
+    "ramp.start": lambda x: {"ramp": {"start": x, "end": 1.0}},
+    "ramp.end": lambda x: {"ramp": {"start": 1.0, "end": x}},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("name", list(_SCENE_FLOAT_FIELDS))
+def test_non_finite_floats_rejected(name, value):
+    data = {"width": 24, "height": 18, "frames": 6, **_SCENE_FLOAT_FIELDS[name](value)}
+    with pytest.raises(SpecOutOfBounds, match=name.split(".")[0]):
+        scene_from_dict(json.loads(json.dumps(data)))
+
+
+def _every_feature_scene() -> SceneSpec:
+    return SceneSpec(
+        width=64,
+        height=48,
+        frames=30,
+        background=(100, 110, 120),
+        noise_sigma=1.5,
+        actors=(
+            Actor(
+                size=(6, 4),
+                color=(200, 40, 40),
+                waypoints=(Waypoint(5, 0, 0), Waypoint(25, 40, 30)),
+                halt_at=20,
+                from_frame=5,
+                to_frame=28,
+            ),
+            Actor(size=(3, 3), color=(0, 0, 0), waypoints=(Waypoint(0, 1, 1),)),
+        ),
+        shadows=(ShadowPatch(rect=(0, 40, 63, 47), gain=0.6, from_frame=10, to_frame=20),),
+        flickers=(Flicker(rect=(0, 0, 3, 3), colors=((0, 0, 0), (255, 255, 255)), period=4),),
+        ramp=GainRamp(1.0, 1.2),
+    )
+
+
+@pytest.mark.parametrize("spec", [standard_scene(), _every_feature_scene()], ids=["standard", "every_feature"])
+def test_asdict_json_round_trip(spec):
+    assert scene_from_dict(json.loads(json.dumps(asdict(spec)))) == spec
 
 
 def test_standard_scene_shape():
