@@ -41,11 +41,13 @@ def benchmark(
         faults_before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         pipeline = FramePipeline(config, spec.width, spec.height)
         times = []
-        for frame in frames:
-            t0 = time.perf_counter()
-            pipeline.process(frame)
-            times.append(time.perf_counter() - t0)
-        pipeline.close()
+        try:
+            for frame in frames:
+                t0 = time.perf_counter()
+                pipeline.process(frame)
+                times.append(time.perf_counter() - t0)
+        finally:
+            pipeline.close()
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults_before
         fps.append(len(frames) / sum(times))
         last_pipeline = pipeline

@@ -7,19 +7,23 @@ is the right trade for surveillance scenes where frame-to-frame motion
 is small compared to target separation; crossing targets at similar
 distances can swap identities, which is accepted here.
 
-Three event kinds come out of the per-frame bookkeeping:
+EventTracker.process_frame makes one pass per frame: it associates the
+blobs, opening tracks for the leftovers and dropping tracks unseen for
+track_timeout frames, and then checks the tracks and the frame's
+(track, blob) pairs for alarms. Its events come in this kind order:
 
 * ``motion_started``: a blob appeared that no existing track claimed.
 * ``abandoned``: a track's centroid has stayed put for n_static
   consecutive frames; latched so one episode fires once.
-* ``intrusion``: a tracked blob's box overlaps a named zone; latched per
-  (track, zone) until the overlap lapses.
+* ``intrusion``: a blob tracked this frame overlaps a named zone;
+  latched per (track, zone) until a frame in which the track has no
+  blob overlapping that zone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .segmentation import Blob
 
@@ -101,13 +105,35 @@ class EventTracker:
         self.tracks: list[TrackedBlob] = []
         self._next_id = 1
         self._zone_hits: set[tuple[int, str]] = set()
-        self._assignment: list[tuple[TrackedBlob, Blob]] = []
 
-    def associate_blobs(self, blobs: list[Blob], frame_index: int) -> list[Event]:
+    def process_frame(self, blobs: list[Blob], frame_index: int) -> list[Event]:
+        """Track this frame's blobs; return its events in the fixed kind order:
+        motion_started, then abandoned, then intrusion."""
+        events, assignment = self._associate(blobs, frame_index)
+        for track in self.tracks:
+            if not track.alarm_raised and track.frames_static >= self.params.n_static:
+                track.alarm_raised = True
+                events.append(Event(frame_index, KIND_ABANDONED, track.id, track.bbox))
+        current: set[tuple[int, str]] = set()
+        for track, blob in assignment:
+            for zone in self.zones:
+                if _boxes_overlap(blob.bbox, zone.rect):
+                    key = (track.id, zone.name)
+                    current.add(key)
+                    if key not in self._zone_hits:
+                        events.append(
+                            Event(frame_index, KIND_INTRUSION, track.id, blob.bbox, zone.name)
+                        )
+        self._zone_hits = current
+        return events
+
+    def _associate(
+        self, blobs: list[Blob], frame_index: int
+    ) -> tuple[list[Event], list[tuple[TrackedBlob, Blob]]]:
         """Match blobs to tracks, open tracks for leftovers, drop stale tracks.
 
-        Returns the motion_started events for newly opened tracks. The
-        blob/track pairing is kept for the zone checks of the same frame.
+        Returns the motion_started events of the new tracks and every
+        (track, blob) pair of this frame, new tracks included.
         """
         p = self.params
         pairs = []
@@ -156,44 +182,5 @@ class EventTracker:
             assignment.append((track, blob))
             events.append(Event(frame_index, KIND_MOTION_STARTED, track.id, blob.bbox))
 
-        survivors = []
-        for track in self.tracks:
-            if frame_index - track.last_seen_frame >= p.track_timeout:
-                self._zone_hits = {hit for hit in self._zone_hits if hit[0] != track.id}
-            else:
-                survivors.append(track)
-        self.tracks = survivors
-        self._assignment = assignment
-        return events
-
-    def detect_static(self, frame_index: int) -> list[Event]:
-        """Abandoned-object alarms: centroid static for n_static frames, once per episode."""
-        events = []
-        for track in self.tracks:
-            if not track.alarm_raised and track.frames_static >= self.params.n_static:
-                track.alarm_raised = True
-                events.append(Event(frame_index, KIND_ABANDONED, track.id, track.bbox))
-        return events
-
-    def detect_intrusion(self, frame_index: int) -> list[Event]:
-        """Zone alarms for this frame's tracked blobs, one per overlap episode."""
-        current: set[tuple[int, str]] = set()
-        events = []
-        for track, blob in self._assignment:
-            for zone in self.zones:
-                if _boxes_overlap(blob.bbox, zone.rect):
-                    key = (track.id, zone.name)
-                    current.add(key)
-                    if key not in self._zone_hits:
-                        events.append(
-                            Event(frame_index, KIND_INTRUSION, track.id, blob.bbox, zone.name)
-                        )
-        self._zone_hits = current
-        return events
-
-    def process_frame(self, blobs: list[Blob], frame_index: int) -> list[Event]:
-        """Run association and both detectors; events in a fixed kind order."""
-        events = self.associate_blobs(blobs, frame_index)
-        events.extend(self.detect_static(frame_index))
-        events.extend(self.detect_intrusion(frame_index))
-        return events
+        self.tracks = [t for t in self.tracks if frame_index - t.last_seen_frame < p.track_timeout]
+        return events, assignment

@@ -153,11 +153,9 @@ class FrameModel:
         sparse = n_miss <= SPARSE_MISS_FRACTION * n
         if sparse:
             # Few misses: test slot j only for pixels that missed slots
-            # 0..j-1 and have more than j live slots, on gathered rows. A
-            # match keeps its d2 in the block for the pdf mode. rest moves
-            # between two index buffers, since a compaction cannot write
-            # over its own input.
-            d2_flat = d2.reshape(-1)
+            # 0..j-1 and have more than j live slots, on gathered rows. rest
+            # moves between two index buffers, since a compaction cannot
+            # write over its own input.
             held, spare = s.i0, s.i1
             rest = np.compress(unmatched, s.index, out=held[:n_miss])
             for j in range(1, k):
@@ -178,8 +176,6 @@ class FrameModel:
                 found = np.compress(hit, rest, out=s.i3[:n_hit])
                 unmatched[found] = False
                 jm[found] = j
-                d2_hit = np.compress(hit, d2_j, out=s.f1[:n_hit])
-                d2_flat[np.compress(hit, f, out=s.i3[:n_hit])] = d2_hit
                 held, spare = spare, held
                 rest = np.compress(np.logical_not(hit, out=hit), rest, out=held[: r - n_hit])
         else:
@@ -207,9 +203,6 @@ class FrameModel:
         fm *= n
         fm += im
         pdf_mode = p.rho_mode == PDF_FAITHFUL
-        if pdf_mode:
-            # Taken now: the block holds other things until the sort.
-            d2_m = _take(d2.reshape(-1), fm, s.f0)
         if sparse:
             # Slot-0 matches in place, rho zero elsewhere (module
             # docstring). Means and variances do not depend on the weights,
@@ -267,6 +260,8 @@ class FrameModel:
         mu_j = _take(mu_flat, fm, s.rows[1])
         var_j = _take(var_flat, fm, s.f1)
         if pdf_mode:
+            d2_m = s.f0[:m]
+            _sq_norm(np.subtract(z_m, mu_j, out=s.block[: 3 * m].reshape(m, 3)), d2_m)
             rho_j = _pdf_rho(var_j, d2_m, p.alpha, s.f2[:m], s.f3[:m])
             keep = np.subtract(1.0, rho_j, out=s.f3[:m])
         else:
@@ -357,7 +352,8 @@ class _Scratch:
     def __init__(self, k: int, n: int):
         self.index = np.arange(n)
         # Squared distances (k, n), then the gathered weights of the slot
-        # choice and the renormalization, the rho * z rows, and the ranks.
+        # choice and the renormalization, the z - mu and rho * z rows of
+        # the gathered update, and the ranks.
         self.block = np.empty(max(k, 3) * n)
         self.rows = np.empty((2, n, 3))
         self.f0, self.f1, self.f2, self.f3 = np.empty((4, n))

@@ -24,6 +24,7 @@ The arrays in a FrameResult are new for every frame.
 
 from __future__ import annotations
 
+import itertools
 import json
 import queue
 import sys
@@ -140,11 +141,6 @@ class FramePipeline:
         return result
 
 
-class _ReaderFailed:
-    def __init__(self, exc: BaseException):
-        self.exc = exc
-
-
 def _read_exact(stream, n: int) -> bytes:
     chunks = []
     got = 0
@@ -157,38 +153,31 @@ def _read_exact(stream, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _dir_reader(paths, out_q, stop):
-    try:
-        for i, path in enumerate(paths):
-            frame = decode_frame(path.read_bytes())
-            if not _queue_put(out_q, (i, frame), stop):
-                return
-    except Exception as exc:
-        _queue_put(out_q, _ReaderFailed(exc), stop)
-        return
-    _queue_put(out_q, None, stop)
-
-
-def _stdin_reader(stream, width, height, limit, out_q, stop):
+def _raw_frames(stream, width: int, height: int):
+    """Decode raw RGB24 width x height frames from stream until it ends."""
     need = width * height * 3
+    for i in itertools.count():
+        data = _read_exact(stream, need)
+        if not data:
+            return
+        if len(data) < need:
+            raise TruncatedPayload(
+                f"raw frame {i} needs {need} bytes, stream ended after {len(data)}"
+            )
+        yield decode_frame(data, width, height)
+
+
+def _reader(frames, out_q, stop):
+    """Put (index, frame) pairs on out_q, then None, or the exception that
+    ended the reading."""
     try:
-        i = 0
-        while limit is None or i < limit:
-            data = _read_exact(stream, need)
-            if not data:
-                break
-            if len(data) < need:
-                raise TruncatedPayload(
-                    f"raw frame {i} needs {need} bytes, stream ended after {len(data)}"
-                )
-            frame = decode_frame(data, width, height)
-            if not _queue_put(out_q, (i, frame), stop):
+        for item in enumerate(frames):
+            if not _queue_put(out_q, item, stop):
                 return
-            i += 1
+        item = None
     except Exception as exc:
-        _queue_put(out_q, _ReaderFailed(exc), stop)
-        return
-    _queue_put(out_q, None, stop)
+        item = exc
+    _queue_put(out_q, item, stop)
 
 
 def _queue_put(out_q, item, stop) -> bool:
@@ -202,20 +191,14 @@ def _queue_put(out_q, item, stop) -> bool:
 
 
 def _frame_source(config: RunConfig, stop: threading.Event):
-    """Start the reader thread; return (queue, thread)."""
+    """Check the input, then start the reader thread; return (queue, thread)."""
     if config.input is None:
         raise InputUnavailable("no input configured")
     out_q: queue.Queue = queue.Queue(maxsize=config.queue_depth)
     if config.input == "-":
         if config.width is None or config.height is None:
             raise InputUnavailable("raw stdin input needs width and height")
-        if config.width < 1 or config.height < 1:
-            raise InputUnavailable(f"bad raw dimensions {config.width}x{config.height}")
-        thread = threading.Thread(
-            target=_stdin_reader,
-            args=(sys.stdin.buffer, config.width, config.height, config.max_frames, out_q, stop),
-            daemon=True,
-        )
+        frames = _raw_frames(sys.stdin.buffer, config.width, config.height)
     else:
         in_dir = Path(config.input)
         if not in_dir.is_dir():
@@ -223,9 +206,9 @@ def _frame_source(config: RunConfig, stop: threading.Event):
         paths = sorted(in_dir.glob("frame_*.ppm"))
         if not paths:
             raise InputUnavailable(f"no frame_*.ppm files in {in_dir}")
-        if config.max_frames is not None:
-            paths = paths[: config.max_frames]
-        thread = threading.Thread(target=_dir_reader, args=(paths, out_q, stop), daemon=True)
+        frames = (decode_frame(path.read_bytes()) for path in paths)
+    frames = itertools.islice(frames, config.max_frames)
+    thread = threading.Thread(target=_reader, args=(frames, out_q, stop), daemon=True)
     thread.start()
     return out_q, thread
 
@@ -329,15 +312,9 @@ def _run_stream(
     try:
         if out_dir is not None and emit.events:
             events_file = (out_dir / "events.jsonl").open("w", encoding="utf-8")
-        processed = 0
-        while True:
-            if config.max_frames is not None and processed >= config.max_frames:
-                break
-            item = frames_q.get()
-            if item is None:
-                break
-            if isinstance(item, _ReaderFailed):
-                raise item.exc
+        while (item := frames_q.get()) is not None:
+            if isinstance(item, Exception):
+                raise item
             index, frame = item
             if pipeline is None:
                 h, w = frame.shape[:2]
@@ -345,7 +322,6 @@ def _run_stream(
             t0 = time.perf_counter()
             result = pipeline.process(frame)
             frame_seconds.append(time.perf_counter() - t0)
-            processed += 1
             for event in result.events:
                 event_counts[event.kind] += 1
                 if events_file is not None:

@@ -1,10 +1,12 @@
 """Benchmark report shape and sanity."""
 
+import threading
+
 import pytest
 
 from bgsub.bench import benchmark
 from bgsub.config import RunConfig
-from bgsub.pipeline import STAGE_NAMES
+from bgsub.pipeline import STAGE_NAMES, FramePipeline
 from bgsub.scenes import SceneSpec
 
 
@@ -49,3 +51,18 @@ def test_larger_raster_is_slower_per_frame():
 def test_config_passes_through():
     report = benchmark(config=RunConfig(workers=2), spec=_small_spec(), reps=1)
     assert report["frames"] == 12
+
+
+def test_failed_rep_closes_its_band_pool(monkeypatch):
+    process = FramePipeline.process
+
+    def fail_at_frame_3(self, frame):
+        if self.frame_index == 3:
+            raise RuntimeError("frame 3")
+        return process(self, frame)
+
+    monkeypatch.setattr(FramePipeline, "process", fail_at_frame_3)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="frame 3"):
+        benchmark(config=RunConfig(workers=2), spec=_small_spec(), reps=1)
+    assert set(threading.enumerate()) == before

@@ -1,9 +1,16 @@
-"""The package's public names, and the independence of the test oracle."""
+"""The package's public names, the independence of the test oracle, and
+the names the benchmark's tracer patches."""
 
 import ast
 from pathlib import Path
 
 import bgsub
+import bgsub.pipeline
+from bgsub.config import RunConfig
+from bgsub.events import EventTracker
+from bgsub.frame_model import FrameModel
+from bgsub.pipeline import FramePipeline, run_pipeline
+from bgsub.scenes import SceneSpec, write_scene
 
 
 def test_all_names_resolve():
@@ -25,3 +32,39 @@ def test_oracles_import_nothing_from_bgsub():
     assert imported, "no imports found: the walk is not reading the oracle"
     for module in imported:
         assert module.split(".")[0] not in ("bgsub", ""), module
+
+
+def test_tracer_patch_points_are_called(tmp_path, monkeypatch):
+    # perfbench/tracer.py times a run by replacing these names; one renamed
+    # or no longer called would leave its layer out of the benchmark.
+    calls = {}
+
+    def counting(name, fn):
+        calls[name] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in (
+        "decode_frame",
+        "refine_classes",
+        "label_components",
+        "extract_blobs",
+        "encode_mask",
+        "render_overlay",
+        "encode_ppm",
+        "Path",
+    ):
+        monkeypatch.setattr(bgsub.pipeline, name, counting(name, getattr(bgsub.pipeline, name)))
+    for cls, name in (
+        (FramePipeline, "process"),
+        (FrameModel, "observe"),
+        (EventTracker, "process_frame"),
+    ):
+        monkeypatch.setattr(cls, name, counting(f"{cls.__name__}.{name}", getattr(cls, name)))
+    write_scene(SceneSpec(width=24, height=16, frames=4), seed=1, out_dir=tmp_path / "scene")
+    run_pipeline(RunConfig(input=str(tmp_path / "scene"), output=str(tmp_path / "out")))
+    assert [name for name, n in calls.items() if n == 0] == []

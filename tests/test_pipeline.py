@@ -10,6 +10,7 @@ import types
 import numpy as np
 import pytest
 
+import bgsub.pipeline
 from bgsub.config import EmitFlags, RunConfig, SegmentationParams
 from bgsub.errors import (
     DimensionChangedMidStream,
@@ -183,6 +184,46 @@ def test_max_frames_zero(event_scene_dir, tmp_path):
     stats = run_pipeline(_event_config(event_scene_dir, tmp_path / "out", max_frames=0))
     assert stats["frames"] == 0
     assert stats["mean_fps"] == 0.0
+
+
+@pytest.mark.parametrize("stdin", [False, True])
+def test_max_frames_stops_reading(event_scene_dir, monkeypatch, stdin):
+    # A limit applied only where frames are taken off the queue would let
+    # the reader decode up to queue_depth frames past it.
+    decoded = []
+    decode = bgsub.pipeline.decode_frame
+
+    def counting_decode(*args):
+        decoded.append(args)
+        return decode(*args)
+
+    monkeypatch.setattr(bgsub.pipeline, "decode_frame", counting_decode)
+    if stdin:
+        frames, _ = generate_scene(_event_scene(), seed=3)
+        raw = b"".join(f.tobytes() for f in frames)
+        monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=io.BytesIO(raw)))
+        config = _event_config("-", None, width=40, height=30, max_frames=3, queue_depth=8)
+    else:
+        config = _event_config(event_scene_dir, None, max_frames=3, queue_depth=8)
+    stats = run_pipeline(config)
+    assert stats["frames"] == 3
+    assert len(decoded) == 3
+
+
+def test_corrupt_frame_mid_directory_stops_the_run(tmp_path):
+    scene = tmp_path / "scene"
+    write_scene(_event_scene(), seed=3, out_dir=scene)
+    bad = scene / "frame_000005.ppm"
+    bad.write_bytes(bad.read_bytes()[:-7])
+    out = tmp_path / "out"
+    with pytest.raises(TruncatedPayload):
+        run_pipeline(_event_config(scene, out))
+    assert sorted(p.name for p in out.glob("mask_*.pgm")) == [
+        f"mask_{i:06d}.pgm" for i in range(5)
+    ]
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["frames"] == 5
+    assert stats["error"] == "TruncatedPayload: need 3600 payload bytes, have 3593"
 
 
 def test_emit_flags_respected(event_scene_dir, tmp_path):
