@@ -6,13 +6,15 @@ the remaining foreground pixels (shadow excluded) are segmented into
 blobs, and the tracker turns blobs into events. The first frame seeds the
 models and is classified all background.
 
-Worker parallelism splits the raster into contiguous row bands with an
-independent mixture engine per band; pixels are modeled independently, so
-band boundaries cannot change any label. Decoding runs in a reader thread
-feeding a bounded queue (queue_depth), and mask and overlay files are
-written in order by a writer thread fed the same way, so that creating
-them overlaps the next frame's compute; timing covers compute only, so
-neither knob affects results, only scheduling.
+Worker parallelism splits the raster into contiguous row bands, each with
+its own mixture engine, and runs a band's mixture update and shadow
+refinement as one task; pixels are modeled independently, so band
+boundaries cannot change any label. A reader thread decodes into a bounded
+queue (queue_depth), and one writer thread writes mask and overlay files
+in frame order while later frames compute. Once more than queue_depth
+frames' writes are pending, the loop waits for the oldest; a failed write
+ends the run at that wait, queue_depth frames after its own. Timing covers
+compute only, so neither knob affects results, only scheduling.
 
 Each FramePipeline owns one float64 (h*w, 3) copy of the frame, made at
 construction and refilled by every process() call, and each band model
@@ -30,6 +32,7 @@ import queue
 import sys
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,19 +74,21 @@ class FramePipeline:
     """Stateful per-stream engine; one instance per video stream."""
 
     def __init__(self, config: RunConfig, width: int, height: int):
+        if width < 1 or height < 1:
+            raise ValueError(f"width {width} and height {height} must both be at least 1")
         self.config = config
         self.width = width
         self.height = height
-        n_workers = min(config.workers, height)
-        bounds = np.linspace(0, height, n_workers + 1).astype(int)
-        self._bands = [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
-        self.models = [
-            FrameModel(config.model, (b - a) * width) for a, b in self._bands
-        ]
-        # The frame as float64, refilled by every process() call.
+        bounds = np.linspace(0, height, min(config.workers, height) + 1).astype(int)
+        # The frame as float64, refilled by every process() call; each band
+        # reads its own rows of it.
         self._z = np.empty((height * width, 3))
+        self._band_z = [
+            self._z[a * width : b * width] for a, b in zip(bounds, bounds[1:]) if b > a
+        ]
+        self.models = [FrameModel(config.model, len(z)) for z in self._band_z]
         self.tracker = EventTracker(config.events, config.zones)
-        self._pool = ThreadPoolExecutor(len(self._bands)) if len(self._bands) > 1 else None
+        self._pool = ThreadPoolExecutor(len(self.models)) if len(self.models) > 1 else None
         self.frame_index = 0
         self.stage_seconds = dict.fromkeys(STAGE_NAMES, 0.0)
 
@@ -92,10 +97,14 @@ class FramePipeline:
             self._pool.shutdown()
             self._pool = None
 
-    def _map_bands(self, fn, args_per_band):
-        if self._pool is None:
-            return [fn(*args) for args in args_per_band]
-        return list(self._pool.map(lambda a: fn(*a), args_per_band))
+    def _band(self, model: FrameModel, z: np.ndarray) -> tuple[np.ndarray, float]:
+        """Observe and refine one band; return its classes and the
+        perf_counter() reading taken between the two."""
+        # Only labels and b go on; pos is dropped at once, so that it does
+        # not add to the frame's peak memory.
+        labels, b = model.observe(z)[::2]
+        t_observed = time.perf_counter()
+        return refine_classes(labels, z, model.means, b, self.config.shadow), t_observed
 
     def process(self, frame: np.ndarray) -> FrameResult:
         """Advance the pipeline by one (h, w, 3) uint8 frame."""
@@ -107,23 +116,14 @@ class FramePipeline:
         if frame.dtype != np.uint8:
             raise ValueError(f"frame {self.frame_index}: dtype {frame.dtype}, expected uint8")
         cfg = self.config
-        h, w = self.height, self.width
-        z = self._z
-        np.copyto(z, frame.reshape(-1, 3))
-        band_z = [z[a * w : b * w] for a, b in self._bands]
+        np.copyto(self._z, frame.reshape(-1, 3))
 
         t0 = time.perf_counter()
-        # Only labels and b go on; pos is dropped at once, so that it does
-        # not add to the frame's peak memory.
-        observed = self._map_bands(
-            lambda model, zb: model.observe(zb)[::2], list(zip(self.models, band_z))
-        )
-        t1 = time.perf_counter()
-        refined = self._map_bands(
-            lambda model, zb, obs: refine_classes(obs[0], zb, model.means, obs[1], cfg.shadow),
-            list(zip(self.models, band_z, observed)),
-        )
-        classes = np.concatenate(refined).reshape(h, w)
+        band_map = map if self._pool is None else self._pool.map
+        refined, observed_at = zip(*band_map(self._band, self.models, self._band_z))
+        # The model stage ends when the last band has observed.
+        t1 = max(observed_at)
+        classes = np.concatenate(refined).reshape(self.height, self.width)
         t2 = time.perf_counter()
         mask = classes == FOREGROUND
         labels = label_components(mask, cfg.segmentation.connectivity)
@@ -168,10 +168,10 @@ def _raw_frames(stream, width: int, height: int):
 
 
 def _reader(frames, out_q, stop):
-    """Put (index, frame) pairs on out_q, then None, or the exception that
-    ended the reading."""
+    """Put each frame on out_q, then None, or the exception that ended the
+    reading."""
     try:
-        for item in enumerate(frames):
+        for item in frames:
             if not _queue_put(out_q, item, stop):
                 return
         item = None
@@ -213,45 +213,9 @@ def _frame_source(config: RunConfig, stop: threading.Event):
     return out_q, thread
 
 
-class _FileWriter:
-    """Writes batches of (path, bytes) in order on a thread of its own.
-
-    put() blocks while depth batches wait. After a failed write the rest
-    are dropped, and the next put() or close() raises the error.
-    """
-
-    def __init__(self, depth: int):
-        self._q: queue.Queue = queue.Queue(maxsize=depth)
-        self._error: Exception | None = None
-        self._thread = threading.Thread(target=self._loop, daemon=True)
-        self._thread.start()
-
-    def _loop(self) -> None:
-        while (files := self._q.get()) is not None:
-            if self._error is not None:
-                continue
-            try:
-                for path, data in files:
-                    path.write_bytes(data)
-            except Exception as exc:  # raised again on the calling thread
-                self._error = exc
-
-    def put(self, files: list) -> None:
-        if self._error is not None:
-            raise self._error
-        self._q.put(files)
-
-    def join(self) -> None:
-        """Finish the queued writes and end the thread."""
-        if self._thread.is_alive():
-            self._q.put(None)
-            self._thread.join()
-
-    def close(self) -> None:
-        """join(), then raise the first write error, if any."""
-        self.join()
-        if self._error is not None:
-            raise self._error
+def _write_files(files: list) -> None:
+    for path, data in files:
+        path.write_bytes(data)
 
 
 def _prepare_output(config: RunConfig) -> Path | None:
@@ -306,16 +270,17 @@ def _run_stream(
     emit = config.emit
     pipeline: FramePipeline | None = None
     events_file = None
+    # writer runs the file writes in order; pending holds their futures.
     writer = None
+    pending: deque = deque()
     if out_dir is not None and (emit.masks or emit.overlays):
-        writer = _FileWriter(config.queue_depth)
+        writer = ThreadPoolExecutor(1)
     try:
         if out_dir is not None and emit.events:
             events_file = (out_dir / "events.jsonl").open("w", encoding="utf-8")
-        while (item := frames_q.get()) is not None:
-            if isinstance(item, Exception):
-                raise item
-            index, frame = item
+        while (frame := frames_q.get()) is not None:
+            if isinstance(frame, Exception):
+                raise frame
             if pipeline is None:
                 h, w = frame.shape[:2]
                 pipeline = FramePipeline(config, w, h)
@@ -329,16 +294,18 @@ def _run_stream(
             if writer is not None:
                 files = []
                 if emit.masks:
-                    files.append((out_dir / f"mask_{index:06d}.pgm", encode_mask(result.classes)))
+                    files.append((out_dir / f"mask_{result.index:06d}.pgm", encode_mask(result.classes)))
                 if emit.overlays:
                     overlay = render_overlay(frame, result.classes)
-                    files.append((out_dir / f"overlay_{index:06d}.ppm", encode_ppm(overlay)))
-                writer.put(files)
-        if writer is not None:
-            writer.close()
+                    files.append((out_dir / f"overlay_{result.index:06d}.ppm", encode_ppm(overlay)))
+                pending.append(writer.submit(_write_files, files))
+                if len(pending) > config.queue_depth:
+                    pending.popleft().result()  # raises a failed write's error
+        while pending:
+            pending.popleft().result()
     finally:
         if writer is not None:
-            writer.join()
+            writer.shutdown()  # waits for the queued writes
         stop.set()
         while True:  # unblock the reader if it is waiting on a full queue
             try:

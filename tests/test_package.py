@@ -1,7 +1,11 @@
-"""The package's public names, the independence of the test oracle, and
-the names the benchmark's tracer patches."""
+"""The package's public names, the independence of the test oracle, the
+names the benchmark's tracer patches, and the tracer's account of a run
+with more than one band."""
 
 import ast
+import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import bgsub
@@ -68,3 +72,30 @@ def test_tracer_patch_points_are_called(tmp_path, monkeypatch):
     write_scene(SceneSpec(width=24, height=16, frames=4), seed=1, out_dir=tmp_path / "scene")
     run_pipeline(RunConfig(input=str(tmp_path / "scene"), output=str(tmp_path / "out")))
     assert [name for name, n in calls.items() if n == 0] == []
+
+
+def test_tracer_parents_every_band_to_its_frame(tmp_path, monkeypatch):
+    # The benchmark runs one band, so only this test traces the band pool:
+    # each band's observe and refine run on a pool thread, and the tracer
+    # must still file them under the frame that handed them out.
+    root = Path(__file__).parents[1]
+    spec = importlib.util.spec_from_file_location("tracer", root / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer_module)
+    spec.loader.exec_module(tracer_module)
+
+    write_scene(SceneSpec(width=24, height=16, frames=4), seed=1, out_dir=tmp_path / "scene")
+    config = RunConfig(input=str(tmp_path / "scene"), output=str(tmp_path / "out"), workers=2)
+    tracer = tracer_module.Tracer()
+    with tracer_module.install(tracer), tracer.run():
+        run_pipeline(config)
+
+    frames = {s.frame: s.id for s in tracer.spans if s.name == "pipeline.process"}
+    assert sorted(frames) == [0, 1, 2, 3]
+    for name in ("frame_model.observe", "shadow.refine"):
+        spans = [s for s in tracer.spans if s.name == name]
+        assert sorted(s.frame for s in spans) == [0, 0, 1, 1, 2, 2, 3, 3], name
+        assert all(s.parent == frames[s.frame] for s in spans), name
+    declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    expected = {m["name"] for m in declared} - {"trace.overhead_pct"}
+    assert set(tracer_module.layer_metrics(tracer.spans)) == expected
