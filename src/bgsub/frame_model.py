@@ -17,30 +17,40 @@ such a loop in the last bits, since numpy's power and exp need not
 round as the loop's do.
 
 The match test costs in proportion to the slots that can still match.
-Slot 0 is live for every started pixel and is tested densely. When at
-most SPARSE_MISS_FRACTION of the pixels missed it, as on a mostly static
-scene, slot j is tested only for the pixels that missed slots 0..j-1 and
-have more than j live slots, on rows gathered by index. When more
-missed, the gathers would cost more than they save, and slots 1..k-1 of
-every pixel are tested densely. One threshold on that fraction picks
-the branch once per frame; both find the same first matching slot.
+Slot 0 is live for every started pixel and is tested densely, in chunks
+of about BLEND_CHUNK pixels. When at most SPARSE_MISS_FRACTION of the
+frame's pixels missed it, as on a mostly static scene, slot j is tested
+only for the pixels that missed slots 0..j-1 and have more than j live
+slots, on rows gathered by index. When more missed, the gathers would
+cost more than they save, and slots 1..k-1 of every pixel are tested
+densely. One threshold on that fraction picks the branch once per frame;
+both find the same first matching slot.
 
-State is updated in place. After a sparse match, the pixels that
-matched slot 0 (about 95% of a static frame) are blended directly on the
-dense slot-0 rows, in chunks of BLEND_CHUNK pixels, with a per-pixel rho
-that is zero where slot 0 did not match: for finite samples, such as
-pixel values, mu * 1.0 + 0.0 * z and var * 1.0 + 0.0 leave those pixels
-exactly as they were. The variance floor and the weight reward are
-masked to the matches, since a fresh var_init may lie below var_min.
-Every other per-pixel slot read and write goes through flat indices
-(slot * n + pixel) into raveled views, and only for the pixels
-concerned: pixels matched at a later slot, or at any slot after a
-crowded match, gather, blend and scatter their matched slot; unmatched
-pixels fill a fresh one and renormalize. Both blends run one helper,
-so the state does not depend on which of them a pixel took. The
-per-pixel rank order is restored by a network of adjacent
+State is updated in place. A chunk where at most SPARSE_MISS_FRACTION of
+its own pixels missed slot 0 (most chunks of a static frame, and the
+still parts of a busy one) blends its slot-0 matches directly on the
+dense slot-0 rows, in the pass that tested them, while they are in
+cache. It uses a per-pixel rho that is zero where slot 0 did not match:
+for finite samples, such as pixel values, mu * 1.0 + 0.0 * z and
+var * 1.0 + 0.0 leave those pixels exactly as they were. The variance
+floor and the weight reward are masked to the matches, since a fresh
+var_init may lie below var_min. Every other per-pixel slot read and
+write goes through flat indices (slot * n + pixel) into raveled views,
+and only for the pixels concerned: pixels matched at a later slot, or at
+slot 0 in a chunk with more misses, gather, blend and scatter their
+matched slot; unmatched pixels fill a fresh one and renormalize. Both
+blends run one helper, so the state does not depend on which of them a
+pixel took, nor on the chunk size.
+
+The per-pixel rank order is restored by a network of adjacent
 compare-exchange steps that swap only on a strictly higher rank, which
-keeps ties in their slot order exactly as a stable sort does.
+keeps ties in their slot order exactly as a stable sort does. A pixel
+with one live slot is never swapped and its background prefix is 1. So
+while at most MULTI_SLOT_FRACTION of the pixels have two or more live
+slots, the network and the prefix run only on those pixels, gathered by
+index, and every other pixel gets b = 1. Live counts never fall, so the
+number of such pixels is kept up to date from the pixels that grow a
+second slot, without a pass over the raster.
 
 Slots beyond a pixel's live count hold weight exactly 0.0 and never
 influence sums, matching or the background prefix.
@@ -49,7 +59,7 @@ Each FrameModel owns the work buffers of its observe() calls: the d2
 block, two (n, 3) row buffers, and n-sized float, index and mask
 buffers, allocated on the first observe() after the seeding one and
 reused for every frame after that, through out= arguments and [:m]
-views; the chunked slot-0 blend reuses their leading BLEND_CHUNK rows
+views; the chunked slot-0 pass reuses their leading BLEND_CHUNK rows
 and writes nothing into z. The reason is memory, not arithmetic: fresh
 temporaries for every frame (about 8.8 times 24 bytes a pixel) would be
 handed back to the system by the C allocator between frames, and every
@@ -71,13 +81,25 @@ from .gmm import BACKGROUND, FOREGROUND, GAUSS_NORM_3D, PDF_FAITHFUL, ModelParam
 # pixels missed slot 0, and as one dense block otherwise.
 SPARSE_MISS_FRACTION = 0.2
 
-# Pixels per chunk of the in-place slot-0 blend of a sparse frame, so that
-# its (chunk, 3) temporaries (384 KiB each at 16384) stay in cache.
-# observe() per vga640 frame, mean of the best of 6-8 passes over the 49
-# seed-1 frames, chunk sizes interleaved (2-vCPU shared Xeon, 4 MiB L2 a
-# core): 4096, 8192 and 16384 read 19.9-21.6 ms, 32768 21.5-22.3 ms,
-# 65536 23.6 ms, one chunk of all 307200 pixels 25.4 ms.
+# Pixels per chunk of the slot-0 test and in-place blend, so that a chunk's
+# (chunk, 3) temporaries (384 KiB each at 16384) stay in cache. n pixels
+# make max(1, round(n / BLEND_CHUNK)) chunks, as equal in size as possible.
+# observe(), mean of the per-frame best of 8-10 alternating passes over the
+# seed-1 frames (2-vCPU shared Xeon, 4 MiB L2 a core): vga640 read 14.3 ms
+# at 4096, 14.3-14.5 at 8192, 14.5-15.2 at 16384, 16.6 at 32768, 16.8 at
+# 65536 and 17.9 as one chunk of 307200; busy160 (19200 pixels) read 1.58
+# ms as one chunk at 16384 and 1.60-1.63 ms as two at 8192 and 12288.
 BLEND_CHUNK = 16384
+
+# The rank sort and the background prefix run over the gathered pixels that
+# have two or more live slots when they are at most this fraction of the
+# pixels, and over every pixel otherwise. It must stay at most 1/2, so that
+# their ranks and weights fit in the work buffers. observe(), timed as
+# BLEND_CHUNK: vga640 (2-34% such pixels) read 21.0, 20.3 and 19.7 ms at
+# 1/4, 1/3 and 1/2, against 25.5 ms with every pixel sorted; busy160 read
+# 2.36, 2.36 and 2.39 ms, since at 1/2 its frames with 42-49% such pixels
+# took the gathered sort and ran about 0.1 ms slower each.
+MULTI_SLOT_FRACTION = 1 / 3
 
 
 class FrameModel:
@@ -102,6 +124,9 @@ class FrameModel:
         self.live_count = np.zeros(n_pixels, dtype=np.int64)
         self.started = False
         self._scratch: _Scratch | None = None
+        # Pixels with live_count >= 2, counted when the work buffers are
+        # made and kept up to date by observe().
+        self._n_multi = 0
 
     def observe(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance every pixel model by one frame.
@@ -125,6 +150,7 @@ class FrameModel:
 
         if self._scratch is None:
             self._scratch = _Scratch(p.k, n)
+            self._n_multi = np.count_nonzero(self.live_count > 1)
         s = self._scratch
         k = p.k
         w = self.weights
@@ -137,21 +163,43 @@ class FrameModel:
         mu_rows = _rows(mu_flat)
         var_flat = var.reshape(-1)
 
-        # Slot 0 is live for every started pixel, so it is tested densely,
-        # through an (n, 3) buffer that the dense branch reuses.
+        # Slot 0 is live for every started pixel: test it chunk by chunk, and
+        # blend a chunk's slot-0 matches in place at once when few of its
+        # pixels missed (module docstring). Means and variances do not
+        # depend on the weights, so this runs before the slot choice reuses
+        # the d2 block; the reward waits for the decay.
         limit = p.d * p.d
+        pdf_mode = p.rho_mode == PDF_FAITHFUL
         d2 = s.block[: k * n].reshape(k, n)
-        diff = s.rows[0]
-        np.subtract(z, mu[0], out=diff)
-        _sq_norm(diff, d2[0])
-        hit0 = np.less(d2[0], np.multiply(limit, var[0], out=s.f0), out=s.hit0)
-        unmatched = np.logical_not(hit0, out=s.m0)
+        hit0, unmatched = s.hit0, s.m0
+        n_miss = 0
+        blended = []
+        n_chunks = max(1, round(n / BLEND_CHUNK))
+        for i in range(n_chunks):
+            cut = slice(i * n // n_chunks, (i + 1) * n // n_chunks)
+            c = cut.stop - cut.start
+            mu_c, var_c, z_c, d2_c, hit_c = mu[0, cut], var[0, cut], z[cut], d2[0, cut], hit0[cut]
+            _sq_norm(np.subtract(z_c, mu_c, out=s.rows[0][:c]), d2_c)
+            np.less(d2_c, np.multiply(limit, var_c, out=s.f0[:c]), out=hit_c)
+            miss = np.count_nonzero(np.logical_not(hit_c, out=unmatched[cut]))
+            n_miss += miss
+            if miss > SPARSE_MISS_FRACTION * c:
+                continue
+            rho = s.f1[:c]
+            if pdf_mode:
+                _pdf_rho(var_c, d2_c, p.alpha, rho, s.f2[:c])
+                rho *= hit_c
+            else:
+                np.multiply(hit_c, p.alpha, out=rho)
+            keep = np.subtract(1.0, rho, out=s.f2[:c])
+            _blend(mu_c, var_c, z_c, rho, keep, s.rows[0][:c], s.rows[1][:c], s.f3[:c])
+            np.maximum(var_c, p.var_min, out=var_c, where=hit_c)
+            blended.append(cut)
+
         # jm counts the slots before the first match: the first matching
         # slot (unused where nothing matched). It becomes the returned pos.
         jm = np.zeros(n, dtype=np.int64)
-        n_miss = np.count_nonzero(unmatched)
-        sparse = n_miss <= SPARSE_MISS_FRACTION * n
-        if sparse:
+        if n_miss <= SPARSE_MISS_FRACTION * n:
             # Few misses: test slot j only for pixels that missed slots
             # 0..j-1 and have more than j live slots, on gathered rows. rest
             # moves between two index buffers, since a compaction cannot
@@ -181,7 +229,7 @@ class FrameModel:
         else:
             # Many misses: the gathers would cost more than testing slots
             # 1..k-1 of every pixel densely.
-            hit, live = s.m1, s.m2
+            diff, hit, live = s.rows[0], s.m1, s.m2
             for j in range(1, k):
                 np.subtract(z, mu[j], out=diff)
                 _sq_norm(diff, d2[j])
@@ -189,12 +237,12 @@ class FrameModel:
                 np.less(d2[j], np.multiply(limit, var[j], out=s.f0), out=hit)
                 hit &= np.greater(count, j, out=live)
                 unmatched &= np.logical_not(hit, out=hit)
-        # The gathered update takes every matched pixel after a crowded
-        # match, and only those matched at slot 1 or later after a sparse
-        # one: slot-0 matches are then blended in place, below.
+        # The gathered update takes every match except the slot-0 matches
+        # of the chunks blended in place. hit0 lies inside the matches, so
+        # xor drops exactly those.
         gathered = np.logical_not(unmatched, out=s.m1)
-        if sparse:
-            gathered &= np.logical_not(hit0, out=s.m2)
+        for cut in blended:
+            np.logical_xor(gathered[cut], hit0[cut], out=gathered[cut])
         n_u = np.count_nonzero(unmatched)
         m = np.count_nonzero(gathered)
         im = np.compress(gathered, s.index, out=s.i0[:m])
@@ -202,31 +250,15 @@ class FrameModel:
         fm = _take(jm, im, s.i1)
         fm *= n
         fm += im
-        pdf_mode = p.rho_mode == PDF_FAITHFUL
-        if sparse:
-            # Slot-0 matches in place, rho zero elsewhere (module
-            # docstring). Means and variances do not depend on the weights,
-            # so this runs before the slot choice reuses the d2 block; the
-            # reward waits for the decay.
-            for a in range(0, n, BLEND_CHUNK):
-                cut = slice(a, a + BLEND_CHUNK)
-                hit_c = hit0[cut]
-                c = hit_c.size
-                var_c = var[0, cut]
-                rho = s.f1[:c]
-                if pdf_mode:
-                    _pdf_rho(var_c, d2[0, cut], p.alpha, rho, s.f2[:c])
-                    rho *= hit_c
-                else:
-                    np.multiply(hit_c, p.alpha, out=rho)
-                keep = np.subtract(1.0, rho, out=s.f2[:c])
-                _blend(mu[0, cut], var_c, z[cut], rho, keep, s.rows[0][:c], s.rows[1][:c], s.f3[:c])
-                np.maximum(var_c, p.var_min, out=var_c, where=hit_c)
 
         # Unmatched pixels go to the next free slot, else to the lowest-weight
         # one (the first on ties), chosen before any decay. A pixel that is
         # not full gains the slot.
         jt = _take(count, iu, s.i2)
+        if k > 1:
+            # Live counts never fall, so pixels join the multi-slot ones only
+            # by growing from one live slot to two.
+            self._n_multi += np.count_nonzero(np.equal(jt, 1, out=s.m1[:n_u]))
         full = np.equal(jt, k, out=s.m1[:n_u])
         grown = np.add(jt, 1, out=s.i3[:n_u])
         count[iu] = np.minimum(grown, k, out=grown)
@@ -248,8 +280,8 @@ class FrameModel:
         # Every pixel decays all its live weights. Dead slots stay 0.0, and
         # an unmatched pixel's replaced slot is overwritten below.
         w *= 1.0 - p.alpha
-        if sparse:
-            np.add(w[0], p.alpha, out=w[0], where=hit0)
+        for cut in blended:
+            np.add(w[0, cut], p.alpha, out=w[0, cut], where=hit0[cut])
 
         # Gathered matched pixels: reward the match, pull its mean and
         # variance to z.
@@ -293,32 +325,44 @@ class FrameModel:
         # strictly higher, so equal ranks keep their order, as with
         # list.sort(reverse=True). Dead slots rank 0.0 and sit after every
         # live slot, whose rank is >= 0.0, so they never move up. pos
-        # follows the absorbing component through the swaps.
+        # follows the absorbing component through the swaps. While few
+        # pixels have two or more live slots, only those are ranked (module
+        # docstring): their ranks in block[:k * n_multi], their weights
+        # after them.
         pos = jm
-        rank = np.sqrt(var, out=s.block[: k * n].reshape(k, n))
-        np.divide(w, rank, out=rank)
+        n_multi = self._n_multi
+        multi_only = n_multi <= MULTI_SLOT_FRACTION * n
+        if multi_only:
+            pix = np.compress(np.greater(count, 1, out=s.m1), s.index, out=s.i3[:n_multi])
+            rank = _take(var, pix, s.block, axis=1)
+            np.sqrt(rank, out=rank)
+            np.divide(_take(w, pix, s.block[k * n_multi :], axis=1), rank, out=rank)
+        else:
+            rank = np.sqrt(var, out=s.block[: k * n].reshape(k, n))
+            np.divide(w, rank, out=rank)
+        size = rank.shape[1]
         rank_flat = rank.reshape(-1)
         row_a, row_b = _rows(s.rows[0]), _rows(s.rows[1])
         for top in range(k - 1, 0, -1):
             for a in range(top):
-                up = np.greater(rank[a + 1], rank[a], out=s.m1)
+                up = np.greater(rank[a + 1], rank[a], out=s.m1[:size])
                 n_sw = np.count_nonzero(up)
                 if not n_sw:
                     continue
-                sw = np.compress(up, s.index, out=s.i0[:n_sw])
-                fa = np.add(sw, a * n, out=s.i1[:n_sw])
-                fb = np.add(sw, (a + 1) * n, out=s.i2[:n_sw])
-                for arr, buf_a, buf_b in (
-                    (w_flat, s.f0, s.f1),
-                    (var_flat, s.f0, s.f1),
-                    (rank_flat, s.f0, s.f1),
-                    (mu_rows, row_a, row_b),
-                ):
-                    at_a = _take(arr, fa, buf_a)
-                    arr[fa] = _take(arr, fb, buf_b)
-                    arr[fb] = at_a
+                sw = np.compress(up, s.index[:size], out=s.i0[:n_sw])
+                fa = np.add(sw, a * size, out=s.i1[:n_sw])
+                fb = np.add(sw, (a + 1) * size, out=s.i2[:n_sw])
+                _swap(rank_flat, fa, fb, s.f0, s.f1)
+                if multi_only:
+                    # The rest swaps at the pixels' own flat indices.
+                    sw = _take(pix, sw, s.i1)
+                    fa = np.add(sw, a * n, out=s.i0[:n_sw])
+                    fb = np.add(sw, (a + 1) * n, out=s.i2[:n_sw])
+                _swap(w_flat, fa, fb, s.f0, s.f1)
+                _swap(var_flat, fa, fb, s.f0, s.f1)
+                _swap(mu_rows, fa, fb, row_a, row_b)
                 # pos a becomes a + 1 and pos a + 1 becomes a.
-                pos_sw = _take(pos, sw, s.i3)
+                pos_sw = _take(pos, sw, s.i2)
                 to_b = np.equal(pos_sw, a, out=s.m1[:n_sw])
                 to_a = np.equal(pos_sw, a + 1, out=s.m2[:n_sw])
                 pos_sw += to_b
@@ -328,13 +372,12 @@ class FrameModel:
         # Background prefix: the first slot whose running weight sum exceeds
         # t. The sum never falls, so that slot's index is the number of
         # sums at or below t; the live count is the fallback.
-        running = s.f0
-        np.copyto(running, w[0])
-        b = np.less_equal(running, p.t, out=s.m1) + 1
-        for j in range(1, k):
-            running += w[j]
-            b += np.less_equal(running, p.t, out=s.m1)
-        np.minimum(b, count, out=b)
+        if multi_only:
+            b = np.ones(n, dtype=np.int64)
+            w_multi = _take(w, pix, s.block[k * n_multi :], axis=1)
+            b[pix] = _prefix(w_multi, p.t, _take(count, pix, s.i0), s.i1[:n_multi], s.f0, s.m1)
+        else:
+            b = _prefix(w, p.t, count, np.empty(n, dtype=np.int64), s.f0, s.m1)
 
         labels = np.where(
             np.less(pos, b, out=s.m1), np.uint8(BACKGROUND), np.uint8(FOREGROUND)
@@ -353,7 +396,9 @@ class _Scratch:
         self.index = np.arange(n)
         # Squared distances (k, n), then the gathered weights of the slot
         # choice and the renormalization, the z - mu and rho * z rows of
-        # the gathered update, and the ranks.
+        # the gathered update, and the ranks: (k, n) of every pixel, or
+        # (k, m) of the m <= n/2 multi-slot pixels followed by their
+        # weights.
         self.block = np.empty(max(k, 3) * n)
         self.rows = np.empty((2, n, 3))
         self.f0, self.f1, self.f2, self.f3 = np.empty((4, n))
@@ -372,6 +417,30 @@ def _take(a: np.ndarray, idx: np.ndarray, buf: np.ndarray, axis: int = 0) -> np.
     shape[axis] = idx.size
     out = buf.reshape(-1)[: math.prod(shape)].reshape(shape)
     return np.take(a, idx, axis=axis, out=out, mode="clip")
+
+
+def _swap(
+    a: np.ndarray, fa: np.ndarray, fb: np.ndarray, buf_a: np.ndarray, buf_b: np.ndarray
+) -> None:
+    """Swap a[fa] and a[fb], through the work buffers buf_a and buf_b."""
+    at_a = _take(a, fa, buf_a)
+    a[fa] = _take(a, fb, buf_b)
+    a[fb] = at_a
+
+
+def _prefix(
+    w: np.ndarray, t: float, count: np.ndarray, b: np.ndarray, running: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    """Background prefix size b of each column of the (k, m) weights w, at
+    most its live count; running and mask are work buffers of at least m."""
+    m = b.size
+    running = running[:m]
+    np.copyto(running, w[0])
+    np.add(np.less_equal(running, t, out=mask[:m]), 1, out=b)
+    for j in range(1, len(w)):
+        running += w[j]
+        b += np.less_equal(running, t, out=mask[:m])
+    return np.minimum(b, count, out=b)
 
 
 def _pdf_rho(

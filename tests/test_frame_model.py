@@ -1,6 +1,7 @@
 """Vectorized engine vs the per-pixel oracle in tests/oracles.py, plus its
 own edge cases."""
 
+import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,7 +10,8 @@ import pytest
 from oracles import oracle_init, oracle_step
 from pixel_states import load_states, oracle_params_of
 
-from bgsub.frame_model import SPARSE_MISS_FRACTION, FrameModel
+import bgsub.frame_model
+from bgsub.frame_model import MULTI_SLOT_FRACTION, SPARSE_MISS_FRACTION, FrameModel, _Scratch
 from bgsub.gmm import BACKGROUND, FIXED_ALPHA, FOREGROUND, PDF_FAITHFUL, ModelParams
 
 
@@ -54,6 +56,27 @@ def _static_stream(rng, n_pixels, n_frames, crowded=()):
             # The seed frame is all first mode; later ones mostly so.
             u = rng.random(n_pixels) * (f_idx > 0)
             pick = (u > 0.98).astype(int) + (u > 0.993)
+        z = modes[pick, np.arange(n_pixels)] + rng.normal(0.0, 3.0, (n_pixels, 3))
+        frames.append(np.clip(z, 0.0, 255.0))
+    return frames
+
+
+def _patchy_stream(rng, n_pixels, n_frames):
+    """Pixel streams that stay on their first mode on at least 99.5% of
+    pixels, except on a run of 10-59 pixels (60-109 on every fifth frame)
+    that moves 2 pixels a frame and draws every mode alike. So one frame
+    holds stretches with few and with many slot-0 misses, and the share of
+    pixels with two or more live slots grows with the area the run has
+    touched, from about 0.1 to past 0.5 in 20 frames."""
+    frames = []
+    modes = rng.uniform(0.0, 255.0, (3, n_pixels, 3))
+    for f_idx in range(n_frames):
+        u = rng.random(n_pixels) * (f_idx > 0)
+        pick = (u > 0.995).astype(int) + (u > 0.998)
+        if f_idx:
+            width = rng.integers(60, 110) if f_idx % 5 == 0 else rng.integers(10, 60)
+            run = np.arange(2 * f_idx, 2 * f_idx + width) % n_pixels
+            pick[run] = rng.integers(0, 3, width)
         z = modes[pick, np.arange(n_pixels)] + rng.normal(0.0, 3.0, (n_pixels, 3))
         frames.append(np.clip(z, 0.0, 255.0))
     return frames
@@ -134,6 +157,90 @@ def test_equivalence_switching_sparse_and_crowded(k, rho_mode):
     sparse = (first != 0).mean(axis=1) <= SPARSE_MISS_FRACTION
     # The branch changes often, both ways.
     assert np.count_nonzero(np.diff(sparse.astype(int))) >= 6
+
+
+def _chunk_paths(monkeypatch, p, frames):
+    """Run FrameModel over frames; for each frame after the seed, return
+    the starts of the chunks that observe() blended in place, the starts
+    of the chunks where at most SPARSE_MISS_FRACTION of the pixels missed
+    slot 0, whether at most SPARSE_MISS_FRACTION of the frame's pixels did,
+    and the share of pixels with two or more live slots after the frame."""
+    n = len(frames[0])
+    fm = FrameModel(p, n)
+    fm.observe(frames[0])
+    blend = bgsub.frame_model._blend
+    starts = []
+
+    def spy(mu, *args):
+        # The in-place blend works on slices of the model's own means.
+        if np.may_share_memory(mu, fm.means):
+            starts.append((mu.ctypes.data - fm.means.ctypes.data) // mu.strides[0])
+        blend(mu, *args)
+
+    monkeypatch.setattr(bgsub.frame_model, "_blend", spy)
+    n_chunks = max(1, round(n / bgsub.frame_model.BLEND_CHUNK))
+    bounds = [i * n // n_chunks for i in range(n_chunks + 1)]
+    runs = []
+    for z in frames[1:]:
+        starts.clear()
+        miss = _first_match(fm, z) != 0
+        few = [a for a, b in zip(bounds, bounds[1:]) if miss[a:b].mean() <= SPARSE_MISS_FRACTION]
+        fm.observe(z)
+        share = np.count_nonzero(fm.live_count > 1) / n
+        runs.append((list(starts), few, miss.mean() <= SPARSE_MISS_FRACTION, share))
+    return runs
+
+
+@pytest.mark.parametrize("rho_mode", [FIXED_ALPHA, PDF_FAITHFUL])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_equivalence_chunks_in_place_and_gathered(monkeypatch, k, rho_mode):
+    # 37 does not divide 200: five chunks of 40. Within one frame, the
+    # chunks where few pixels missed slot 0 blend it in place and the
+    # others leave it to the gathered update, on frames of both match
+    # branches, while the share of pixels with two or more live slots
+    # rises through MULTI_SLOT_FRACTION.
+    monkeypatch.setattr(bgsub.frame_model, "BLEND_CHUNK", 37)
+    p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
+    frames = _patchy_stream(np.random.default_rng(51), 200, 60)
+    _check_against_oracle(p, frames, exact=rho_mode == FIXED_ALPHA)
+    runs = _chunk_paths(monkeypatch, p, frames)
+    assert all(starts == few for starts, few, _, _ in runs)
+    mixed = [sparse for starts, _, sparse, _ in runs if 0 < len(starts) < 5]
+    assert mixed.count(True) >= 20 and mixed.count(False) >= 5
+    if k > 1:
+        multi_only = [share <= MULTI_SLOT_FRACTION for _, _, _, share in runs]
+        assert multi_only[:8] == [True] * 8 and not any(multi_only[12:])
+
+
+@pytest.mark.parametrize("rho_mode", [FIXED_ALPHA, PDF_FAITHFUL])
+@pytest.mark.parametrize("k", [1, 3])
+def test_path_choice_keeps_state(monkeypatch, k, rho_mode):
+    # Which chunks blend slot 0 in place, how slots 1..k-1 are tested and
+    # which pixels the sort and prefix cover are choices of speed alone:
+    # forcing each either way must give the same run, bit for bit. Up to
+    # frame 15 at most half the pixels have two or more live slots, so
+    # MULTI_SLOT_FRACTION = 0.5 sorts only those on every frame, and -1.0
+    # every pixel.
+    p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
+    frames = _patchy_stream(np.random.default_rng(51), 200, 16)
+    want = _run_alone(p, frames)
+    live_count = want[1][3]
+    assert np.count_nonzero(live_count > 1) <= len(live_count) / 2
+    for miss, chunk, multi in itertools.product((0.0, 1.0), (1, 200), (-1.0, 0.5)):
+        monkeypatch.setattr(bgsub.frame_model, "SPARSE_MISS_FRACTION", miss)
+        monkeypatch.setattr(bgsub.frame_model, "BLEND_CHUNK", chunk)
+        monkeypatch.setattr(bgsub.frame_model, "MULTI_SLOT_FRACTION", multi)
+        fm = FrameModel(p, len(frames[0]))
+        outs = [fm.observe(z) for z in frames]
+        _assert_same_run(fm, outs, want)
+
+
+def test_work_buffers_do_not_grow():
+    # The gathered sort keeps its ranks and weights in the d2 block, so a
+    # k = 3 model's work buffers stay at 148 bytes a pixel.
+    n = 1000
+    total = sum(a.nbytes for a in vars(_Scratch(3, n)).values())
+    assert total <= 148 * n
 
 
 @pytest.mark.parametrize("rho_mode", [FIXED_ALPHA, PDF_FAITHFUL])

@@ -20,7 +20,7 @@ from bgsub.errors import (
     UnsupportedMaxval,
 )
 from bgsub.events import EventParams, Zone
-from bgsub.frame_model import SPARSE_MISS_FRACTION
+from bgsub.frame_model import MULTI_SLOT_FRACTION, SPARSE_MISS_FRACTION
 from bgsub.gmm import BACKGROUND, FOREGROUND, ModelParams
 from bgsub.netpbm import decode_pgm, decode_ppm, encode_mask, encode_ppm
 from bgsub.pipeline import STAGE_NAMES, FramePipeline, run_pipeline
@@ -501,11 +501,14 @@ def test_steady_state_frames_allocate_little(busy):
     # steady-state frame allocates little beyond the arrays it hands back.
     # Fresh full-raster temporaries would show here: without kept buffers
     # a steady frame peaks near 8.8 x 24 bytes a pixel. The standard scene
-    # takes the gathered branch, the busy one the dense branch.
+    # takes the gathered branch, and up to frame 93 sorts only the pixels
+    # with two or more live slots; the busy one takes the dense branch and
+    # sorts every pixel.
     spec, config = _busy_scene() if busy else (standard_scene(), RunConfig())
     frames, _ = generate_scene(spec, seed=1)
     n = spec.width * spec.height
     pipeline = FramePipeline(config, spec.width, spec.height)
+    multi_only = 0
     try:
         for frame in frames[:10]:
             pipeline.process(frame)
@@ -518,8 +521,10 @@ def test_steady_state_frames_allocate_little(busy):
             finally:
                 tracemalloc.stop()
             assert peak <= 2 * 24 * n, f"frame {i}: {peak / (24 * n):.2f} x 24 bytes a pixel"
+            multi_only += (pipeline.models[0].live_count > 1).mean() <= MULTI_SLOT_FRACTION
     finally:
         pipeline.close()
+    assert multi_only == (0 if busy else 84)
 
 
 @pytest.mark.parametrize("busy", [False, True])
