@@ -18,13 +18,9 @@ round as the loop's do.
 
 The match test costs in proportion to the slots that can still match.
 Slot 0 is live for every started pixel and is tested densely, in chunks
-of about BLEND_CHUNK pixels. When at most SPARSE_MISS_FRACTION of the
-frame's pixels missed it, as on a mostly static scene, slot j is tested
-only for the pixels that missed slots 0..j-1 and have more than j live
-slots, on rows gathered by index. When more missed, the gathers would
-cost more than they save, and slots 1..k-1 of every pixel are tested
-densely. One threshold on that fraction picks the branch once per frame;
-both find the same first matching slot.
+of about BLEND_CHUNK pixels. Slot j is then tested only for the pixels
+that missed slots 0..j-1 and have more than j live slots, on rows
+gathered by index, however many pixels missed slot 0.
 
 State is updated in place. A chunk where at most SPARSE_MISS_FRACTION of
 its own pixels missed slot 0 (most chunks of a static frame, and the
@@ -47,15 +43,14 @@ compare-exchange steps that swap only on a strictly higher rank, which
 keeps ties in their slot order exactly as a stable sort does. A pixel
 with one live slot is never swapped and its background prefix is 1. So
 while at most MULTI_SLOT_FRACTION of the pixels have two or more live
-slots, the network and the prefix run only on those pixels, gathered by
-index, and every other pixel gets b = 1. Live counts never fall, so the
-number of such pixels is kept up to date from the pixels that grow a
-second slot, without a pass over the raster.
+slots, as read off live_count each frame, the network and the prefix
+run only on those pixels, gathered by index, and every other pixel gets
+b = 1.
 
 Slots beyond a pixel's live count hold weight exactly 0.0 and never
 influence sums, matching or the background prefix.
 
-Each FrameModel owns the work buffers of its observe() calls: the d2
+Each FrameModel owns the work buffers of its observe() calls: a float
 block, two (n, 3) row buffers, and n-sized float, index and mask
 buffers, allocated on the first observe() after the seeding one and
 reused for every frame after that, through out= arguments and [:m]
@@ -77,8 +72,8 @@ import numpy as np
 
 from .gmm import BACKGROUND, FOREGROUND, GAUSS_NORM_3D, PDF_FAITHFUL, ModelParams
 
-# Slots 1..k-1 are tested on gathered rows when at most this fraction of
-# pixels missed slot 0, and as one dense block otherwise.
+# A chunk blends its slot-0 matches in place when at most this fraction of
+# its pixels missed slot 0, and leaves them to the gathered update otherwise.
 SPARSE_MISS_FRACTION = 0.2
 
 # Pixels per chunk of the slot-0 test and in-place blend, so that a chunk's
@@ -124,9 +119,6 @@ class FrameModel:
         self.live_count = np.zeros(n_pixels, dtype=np.int64)
         self.started = False
         self._scratch: _Scratch | None = None
-        # Pixels with live_count >= 2, counted when the work buffers are
-        # made and kept up to date by observe().
-        self._n_multi = 0
 
     def observe(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance every pixel model by one frame.
@@ -150,7 +142,6 @@ class FrameModel:
 
         if self._scratch is None:
             self._scratch = _Scratch(p.k, n)
-            self._n_multi = np.count_nonzero(self.live_count > 1)
         s = self._scratch
         k = p.k
         w = self.weights
@@ -167,10 +158,9 @@ class FrameModel:
         # blend a chunk's slot-0 matches in place at once when few of its
         # pixels missed (module docstring). Means and variances do not
         # depend on the weights, so this runs before the slot choice reuses
-        # the d2 block; the reward waits for the decay.
+        # the block; the reward waits for the decay.
         limit = p.d * p.d
         pdf_mode = p.rho_mode == PDF_FAITHFUL
-        d2 = s.block[: k * n].reshape(k, n)
         hit0, unmatched = s.hit0, s.m0
         n_miss = 0
         blended = []
@@ -178,7 +168,7 @@ class FrameModel:
         for i in range(n_chunks):
             cut = slice(i * n // n_chunks, (i + 1) * n // n_chunks)
             c = cut.stop - cut.start
-            mu_c, var_c, z_c, d2_c, hit_c = mu[0, cut], var[0, cut], z[cut], d2[0, cut], hit0[cut]
+            mu_c, var_c, z_c, d2_c, hit_c = mu[0, cut], var[0, cut], z[cut], s.block[:c], hit0[cut]
             _sq_norm(np.subtract(z_c, mu_c, out=s.rows[0][:c]), d2_c)
             np.less(d2_c, np.multiply(limit, var_c, out=s.f0[:c]), out=hit_c)
             miss = np.count_nonzero(np.logical_not(hit_c, out=unmatched[cut]))
@@ -196,47 +186,34 @@ class FrameModel:
             np.maximum(var_c, p.var_min, out=var_c, where=hit_c)
             blended.append(cut)
 
-        # jm counts the slots before the first match: the first matching
-        # slot (unused where nothing matched). It becomes the returned pos.
+        # jm is the first matching slot (unused where nothing matched). It
+        # becomes the returned pos. Slot j is tested only for pixels that
+        # missed slots 0..j-1 and have more than j live slots, on gathered
+        # rows. rest moves between two index buffers, since a compaction
+        # cannot write over its own input.
         jm = np.zeros(n, dtype=np.int64)
-        if n_miss <= SPARSE_MISS_FRACTION * n:
-            # Few misses: test slot j only for pixels that missed slots
-            # 0..j-1 and have more than j live slots, on gathered rows. rest
-            # moves between two index buffers, since a compaction cannot
-            # write over its own input.
-            held, spare = s.i0, s.i1
-            rest = np.compress(unmatched, s.index, out=held[:n_miss])
-            for j in range(1, k):
-                live = np.greater(_take(count, rest, s.i2), j, out=s.m1[: rest.size])
-                r = np.count_nonzero(live)
-                if not r:
-                    break
-                held, spare = spare, held
-                rest = np.compress(live, rest, out=held[:r])
-                f = np.add(rest, j * n, out=s.i2[:r])
-                dz = _take(z, rest, s.rows[0])
-                dz -= _take(mu_flat, f, s.rows[1])
-                d2_j = s.f0[:r]
-                _sq_norm(dz, d2_j)
-                lim_j = _take(var_flat, f, s.f1)
-                hit = np.less(d2_j, np.multiply(limit, lim_j, out=lim_j), out=s.m1[:r])
-                n_hit = np.count_nonzero(hit)
-                found = np.compress(hit, rest, out=s.i3[:n_hit])
-                unmatched[found] = False
-                jm[found] = j
-                held, spare = spare, held
-                rest = np.compress(np.logical_not(hit, out=hit), rest, out=held[: r - n_hit])
-        else:
-            # Many misses: the gathers would cost more than testing slots
-            # 1..k-1 of every pixel densely.
-            diff, hit, live = s.rows[0], s.m1, s.m2
-            for j in range(1, k):
-                np.subtract(z, mu[j], out=diff)
-                _sq_norm(diff, d2[j])
-                jm += unmatched
-                np.less(d2[j], np.multiply(limit, var[j], out=s.f0), out=hit)
-                hit &= np.greater(count, j, out=live)
-                unmatched &= np.logical_not(hit, out=hit)
+        held, spare = s.i0, s.i1
+        rest = np.compress(unmatched, s.index, out=held[:n_miss])
+        for j in range(1, k):
+            live = np.greater(_take(count, rest, s.i2), j, out=s.m1[: rest.size])
+            r = np.count_nonzero(live)
+            if not r:
+                break
+            held, spare = spare, held
+            rest = np.compress(live, rest, out=held[:r])
+            f = np.add(rest, j * n, out=s.i2[:r])
+            dz = _take(z, rest, s.rows[0])
+            dz -= _take(mu_flat, f, s.rows[1])
+            d2_j = s.f0[:r]
+            _sq_norm(dz, d2_j)
+            lim_j = _take(var_flat, f, s.f1)
+            hit = np.less(d2_j, np.multiply(limit, lim_j, out=lim_j), out=s.m1[:r])
+            n_hit = np.count_nonzero(hit)
+            found = np.compress(hit, rest, out=s.i3[:n_hit])
+            unmatched[found] = False
+            jm[found] = j
+            held, spare = spare, held
+            rest = np.compress(np.logical_not(hit, out=hit), rest, out=held[: r - n_hit])
         # The gathered update takes every match except the slot-0 matches
         # of the chunks blended in place. hit0 lies inside the matches, so
         # xor drops exactly those.
@@ -255,10 +232,6 @@ class FrameModel:
         # one (the first on ties), chosen before any decay. A pixel that is
         # not full gains the slot.
         jt = _take(count, iu, s.i2)
-        if k > 1:
-            # Live counts never fall, so pixels join the multi-slot ones only
-            # by growing from one live slot to two.
-            self._n_multi += np.count_nonzero(np.equal(jt, 1, out=s.m1[:n_u]))
         full = np.equal(jt, k, out=s.m1[:n_u])
         grown = np.add(jt, 1, out=s.i3[:n_u])
         count[iu] = np.minimum(grown, k, out=grown)
@@ -330,10 +303,11 @@ class FrameModel:
         # docstring): their ranks in block[:k * n_multi], their weights
         # after them.
         pos = jm
-        n_multi = self._n_multi
+        multi = np.greater(count, 1, out=s.m1)
+        n_multi = np.count_nonzero(multi)
         multi_only = n_multi <= MULTI_SLOT_FRACTION * n
         if multi_only:
-            pix = np.compress(np.greater(count, 1, out=s.m1), s.index, out=s.i3[:n_multi])
+            pix = np.compress(multi, s.index, out=s.i3[:n_multi])
             rank = _take(var, pix, s.block, axis=1)
             np.sqrt(rank, out=rank)
             np.divide(_take(w, pix, s.block[k * n_multi :], axis=1), rank, out=rank)
@@ -394,11 +368,11 @@ class _Scratch:
 
     def __init__(self, k: int, n: int):
         self.index = np.arange(n)
-        # Squared distances (k, n), then the gathered weights of the slot
-        # choice and the renormalization, the z - mu and rho * z rows of
-        # the gathered update, and the ranks: (k, n) of every pixel, or
-        # (k, m) of the m <= n/2 multi-slot pixels followed by their
-        # weights.
+        # The slot-0 squared distances of a chunk, then the gathered
+        # weights of the slot choice and the renormalization, the z - mu
+        # and rho * z rows of the gathered update, and the ranks: (k, n) of
+        # every pixel, or (k, m) of the m <= n/2 multi-slot pixels followed
+        # by their weights.
         self.block = np.empty(max(k, 3) * n)
         self.rows = np.empty((2, n, 3))
         self.f0, self.f1, self.f2, self.f3 = np.empty((4, n))

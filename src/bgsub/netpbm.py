@@ -50,28 +50,26 @@ def _read_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]:
     return width, height, maxval, pos + 1
 
 
-def decode_ppm(data: bytes) -> np.ndarray:
-    """Binary PPM bytes to a (h, w, 3) uint8 array."""
-    width, height, maxval, offset = _read_header(data, b"P6")
+def _decode(data: bytes, magic: bytes, channels: int) -> np.ndarray:
+    """Binary netpbm bytes to an (h, w, channels) uint8 array."""
+    width, height, maxval, offset = _read_header(data, magic)
     if maxval != 255:
         raise UnsupportedMaxval(f"maxval {maxval} not supported, need 255")
-    need = width * height * 3
+    need = width * height * channels
     if len(data) - offset < need:
         raise TruncatedPayload(f"need {need} payload bytes, have {len(data) - offset}")
     pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=offset)
-    return pixels.reshape(height, width, 3).copy()
+    return pixels.reshape(height, width, channels).copy()
+
+
+def decode_ppm(data: bytes) -> np.ndarray:
+    """Binary PPM bytes to a (h, w, 3) uint8 array."""
+    return _decode(data, b"P6", 3)
 
 
 def decode_pgm(data: bytes) -> np.ndarray:
     """Binary PGM bytes to a (h, w) uint8 array."""
-    width, height, maxval, offset = _read_header(data, b"P5")
-    if maxval != 255:
-        raise UnsupportedMaxval(f"maxval {maxval} not supported, need 255")
-    need = width * height
-    if len(data) - offset < need:
-        raise TruncatedPayload(f"need {need} payload bytes, have {len(data) - offset}")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=offset)
-    return pixels.reshape(height, width).copy()
+    return _decode(data, b"P5", 1)[..., 0]
 
 
 def decode_frame(data: bytes, width: int | None = None, height: int | None = None) -> np.ndarray:

@@ -141,23 +141,13 @@ class FramePipeline:
         return result
 
 
-def _read_exact(stream, n: int) -> bytes:
-    chunks = []
-    got = 0
-    while got < n:
-        chunk = stream.read(n - got)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
-
-
 def _raw_frames(stream, width: int, height: int):
-    """Decode raw RGB24 width x height frames from stream until it ends."""
+    """Decode raw RGB24 width x height frames from stream until it ends.
+    stream is a buffered binary stream, such as sys.stdin.buffer, whose
+    read(n) returns n bytes unless the stream ends first."""
     need = width * height * 3
     for i in itertools.count():
-        data = _read_exact(stream, need)
+        data = stream.read(need)
         if not data:
             return
         if len(data) < need:

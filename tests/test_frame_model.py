@@ -94,39 +94,45 @@ def _first_match(fm, z):
 
 
 def _check_against_oracle(p, frames, exact):
-    """Run FrameModel and oracle_step on every pixel side by side. Outputs
-    and live counts must agree exactly, and so must the state when exact,
-    else to rtol 1e-12; dead slots must keep weight 0.0. Returns each
-    pixel's first matching slot (-1 for none), one row per frame after the
-    seed."""
-    n = len(frames[0])
+    """Run FrameModel and oracle_step on every pixel side by side, each
+    frame checked by _step_both. Returns each pixel's first matching slot
+    (-1 for none), one row per frame after the seed."""
     op = oracle_params_of(p)
-    fm = FrameModel(p, n)
+    fm = FrameModel(p, len(frames[0]))
     labels, _, _ = fm.observe(frames[0])
     assert np.all(labels == BACKGROUND)
     states = [oracle_init(z.tolist(), op) for z in frames[0]]
     first = []
     for f_idx, z in enumerate(frames[1:], 1):
         first.append(_first_match(fm, z))
-        labels, pos, b = fm.observe(z)
-        steps = [oracle_step(states[j], z[j].tolist(), op) for j in range(n)]
-        states = [step[0] for step in steps]
-        want = np.array([step[1:] for step in steps])
-        assert np.array_equal(np.stack([labels, pos, b], axis=1), want), f"frame {f_idx}"
-        live = np.array([len(comps) for comps in states])
-        assert np.array_equal(fm.live_count, live)
-        sw, sm, sv = _oracle_state(states)
-        kk = sw.shape[0]
-        in_use = np.arange(kk)[:, None] < live
-        assert np.all(fm.weights[kk:] == 0.0) and np.all(fm.weights[:kk][~in_use] == 0.0)
-        for got, expect in ((fm.weights, sw), (fm.means, sm), (fm.variances, sv)):
-            got = got[:kk][in_use]
-            if exact:
-                # bit-for-bit: same operation order on both paths
-                assert np.array_equal(got, expect[in_use]), f"frame {f_idx}"
-            else:
-                np.testing.assert_allclose(got, expect[in_use], rtol=1e-12)
+        states, _ = _step_both(fm, states, z, op, exact, f_idx)
     return np.array(first)
+
+
+def _step_both(fm, states, z, op, exact, f_idx):
+    """One observe() of fm and one oracle_step per pixel state. Outputs and
+    live counts must agree exactly, and so must the state when exact, else
+    to rtol 1e-12; dead slots must keep weight 0.0. Returns the oracle's
+    new states and the pos that observe() returned."""
+    labels, pos, b = fm.observe(z)
+    steps = [oracle_step(states[j], z[j].tolist(), op) for j in range(len(states))]
+    states = [step[0] for step in steps]
+    want = np.array([step[1:] for step in steps])
+    assert np.array_equal(np.stack([labels, pos, b], axis=1), want), f"frame {f_idx}"
+    live = np.array([len(comps) for comps in states])
+    assert np.array_equal(fm.live_count, live)
+    sw, sm, sv = _oracle_state(states)
+    kk = sw.shape[0]
+    in_use = np.arange(kk)[:, None] < live
+    assert np.all(fm.weights[kk:] == 0.0) and np.all(fm.weights[:kk][~in_use] == 0.0)
+    for got, expect in ((fm.weights, sw), (fm.means, sm), (fm.variances, sv)):
+        got = got[:kk][in_use]
+        if exact:
+            # bit-for-bit: same operation order on both paths
+            assert np.array_equal(got, expect[in_use]), f"frame {f_idx}"
+        else:
+            np.testing.assert_allclose(got, expect[in_use], rtol=1e-12)
+    return states, pos
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -141,7 +147,7 @@ def test_equivalence_mostly_static_stream(k, rho_mode):
     p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
     frames = _static_stream(np.random.default_rng(31), 200, 60)
     first = _check_against_oracle(p, frames, exact=rho_mode == FIXED_ALPHA)
-    # Every frame takes the gathered branch, and each later slot that the
+    # Every frame blends slot 0 in place, and each later slot that the
     # three modes can fill does match.
     assert np.all((first != 0).mean(axis=1) <= SPARSE_MISS_FRACTION)
     assert np.unique(first[first > 0]).tolist() == list(range(1, min(k, 3)))
@@ -155,8 +161,15 @@ def test_equivalence_switching_sparse_and_crowded(k, rho_mode):
     frames = _static_stream(np.random.default_rng(32), 200, 60, crowded)
     first = _check_against_oracle(p, frames, exact=rho_mode == FIXED_ALPHA)
     sparse = (first != 0).mean(axis=1) <= SPARSE_MISS_FRACTION
-    # The branch changes often, both ways.
+    # The one chunk's slot-0 update changes often, both ways: in place on
+    # sparse frames, gathered on crowded ones.
     assert np.count_nonzero(np.diff(sparse.astype(int))) >= 6
+    assert not any(sparse[f - 1] for f in crowded)
+    if k > 2:
+        # Crowded frames test the later slots on gathered rows too, down
+        # to slot 2 and beyond.
+        deep = [f for f in sorted(crowded) if np.any(first[f - 1] >= 2)]
+        assert len(deep) >= 5, deep
 
 
 def _chunk_paths(monkeypatch, p, frames):
@@ -164,12 +177,13 @@ def _chunk_paths(monkeypatch, p, frames):
     the starts of the chunks that observe() blended in place, the starts
     of the chunks where at most SPARSE_MISS_FRACTION of the pixels missed
     slot 0, whether at most SPARSE_MISS_FRACTION of the frame's pixels did,
-    and the share of pixels with two or more live slots after the frame."""
+    the share of pixels with two or more live slots after the frame, and
+    how many pixels the background prefix covered."""
     n = len(frames[0])
     fm = FrameModel(p, n)
     fm.observe(frames[0])
-    blend = bgsub.frame_model._blend
-    starts = []
+    blend, prefix = bgsub.frame_model._blend, bgsub.frame_model._prefix
+    starts, widths = [], []
 
     def spy(mu, *args):
         # The in-place blend works on slices of the model's own means.
@@ -177,17 +191,23 @@ def _chunk_paths(monkeypatch, p, frames):
             starts.append((mu.ctypes.data - fm.means.ctypes.data) // mu.strides[0])
         blend(mu, *args)
 
+    def prefix_spy(w, *args):
+        widths.append(w.shape[1])
+        return prefix(w, *args)
+
     monkeypatch.setattr(bgsub.frame_model, "_blend", spy)
+    monkeypatch.setattr(bgsub.frame_model, "_prefix", prefix_spy)
     n_chunks = max(1, round(n / bgsub.frame_model.BLEND_CHUNK))
     bounds = [i * n // n_chunks for i in range(n_chunks + 1)]
     runs = []
     for z in frames[1:]:
         starts.clear()
+        widths.clear()
         miss = _first_match(fm, z) != 0
         few = [a for a, b in zip(bounds, bounds[1:]) if miss[a:b].mean() <= SPARSE_MISS_FRACTION]
         fm.observe(z)
         share = np.count_nonzero(fm.live_count > 1) / n
-        runs.append((list(starts), few, miss.mean() <= SPARSE_MISS_FRACTION, share))
+        runs.append((list(starts), few, miss.mean() <= SPARSE_MISS_FRACTION, share, widths[0]))
     return runs
 
 
@@ -196,27 +216,32 @@ def _chunk_paths(monkeypatch, p, frames):
 def test_equivalence_chunks_in_place_and_gathered(monkeypatch, k, rho_mode):
     # 37 does not divide 200: five chunks of 40. Within one frame, the
     # chunks where few pixels missed slot 0 blend it in place and the
-    # others leave it to the gathered update, on frames of both match
-    # branches, while the share of pixels with two or more live slots
-    # rises through MULTI_SLOT_FRACTION.
+    # others leave it to the gathered update, on frames where few and
+    # where many of all pixels missed it, while the share of pixels with
+    # two or more live slots rises through MULTI_SLOT_FRACTION.
     monkeypatch.setattr(bgsub.frame_model, "BLEND_CHUNK", 37)
     p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
     frames = _patchy_stream(np.random.default_rng(51), 200, 60)
     _check_against_oracle(p, frames, exact=rho_mode == FIXED_ALPHA)
     runs = _chunk_paths(monkeypatch, p, frames)
-    assert all(starts == few for starts, few, _, _ in runs)
-    mixed = [sparse for starts, _, sparse, _ in runs if 0 < len(starts) < 5]
+    assert all(starts == few for starts, few, _, _, _ in runs)
+    mixed = [sparse for starts, _, sparse, _, _ in runs if 0 < len(starts) < 5]
     assert mixed.count(True) >= 20 and mixed.count(False) >= 5
+    # The prefix covers just the multi-slot pixels while they are few
+    # enough, and every pixel after that.
+    n = len(frames[0])
+    for _, _, _, share, width in runs:
+        assert width == (round(share * n) if share <= MULTI_SLOT_FRACTION else n)
     if k > 1:
-        multi_only = [share <= MULTI_SLOT_FRACTION for _, _, _, share in runs]
+        multi_only = [share <= MULTI_SLOT_FRACTION for _, _, _, share, _ in runs]
         assert multi_only[:8] == [True] * 8 and not any(multi_only[12:])
 
 
 @pytest.mark.parametrize("rho_mode", [FIXED_ALPHA, PDF_FAITHFUL])
 @pytest.mark.parametrize("k", [1, 3])
 def test_path_choice_keeps_state(monkeypatch, k, rho_mode):
-    # Which chunks blend slot 0 in place, how slots 1..k-1 are tested and
-    # which pixels the sort and prefix cover are choices of speed alone:
+    # Which chunks blend slot 0 in place, their size and which pixels the
+    # sort and prefix cover are choices of speed alone:
     # forcing each either way must give the same run, bit for bit. Up to
     # frame 15 at most half the pixels have two or more live slots, so
     # MULTI_SLOT_FRACTION = 0.5 sorts only those on every frame, and -1.0
@@ -236,7 +261,7 @@ def test_path_choice_keeps_state(monkeypatch, k, rho_mode):
 
 
 def test_work_buffers_do_not_grow():
-    # The gathered sort keeps its ranks and weights in the d2 block, so a
+    # The gathered sort keeps its ranks and weights in the float block, so a
     # k = 3 model's work buffers stay at 148 bytes a pixel.
     n = 1000
     total = sum(a.nbytes for a in vars(_Scratch(3, n)).values())
@@ -272,8 +297,8 @@ def test_variance_floor_spares_unmatched_slot_0(k, rho_mode):
 
 @pytest.mark.parametrize("crowded", [False, True])
 def test_samples_are_only_read(crowded):
-    # observe() may not write into z, on either match branch: a read-only
-    # z must give the same run as a writable one.
+    # observe() may not write into z, whether slot 0 is blended in place
+    # or gathered: a read-only z must give the same run as a writable one.
     rng = np.random.default_rng(44)
     n = 300
     frames = _frame_stream(rng, n, 8) if crowded else _static_stream(rng, n, 8)
@@ -297,7 +322,7 @@ def test_dead_slot_is_never_matched(n_still):
     # Slot 1 is dead: mean 0 and variance var_init = 225, so (5, 5, 5) lies
     # well inside its match radius. The pixel must open a new component
     # there instead. With 19 still pixels beside it only 1 in 20 misses
-    # slot 0 (gathered test of later slots); alone, it is all of them.
+    # slot 0 (blended in place); alone, it is all of them.
     p = ModelParams(k=3)
     still = np.full((n_still, 3), 100.0)
     fm = FrameModel(p, n_still + 1)
@@ -356,6 +381,38 @@ def test_equal_ranks_keep_slot_order():
     assert rank[0, 1] == rank[1, 1] and pos[1] == 1
     assert rank[0, 2] == rank[1, 2]
     assert sorted(tuple(m) for m in fm.means[:, 3]) == [(0.0,) * 3, (50.0,) * 3, far]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_loaded_states_after_work_buffers_exist(k):
+    # live_count is public, and load_states writes it. A model that has
+    # made its work buffers (on its second observe) must then rank every
+    # pixel that the write gave two or more live slots.
+    p = ModelParams(k=k, alpha=0.03, rho_mode=FIXED_ALPHA)
+    op = oracle_params_of(p)
+    n = 4
+    fm = FrameModel(p, n)
+    for _ in range(2):
+        fm.observe(np.full((n, 3), 100.0))
+    # 2 or k components of equal variance, ranked by their exact weights
+    # 1/2, 1/4, ..., with the last two equal.
+    states = []
+    for j in range(n):
+        c = (2, k)[j % 2]
+        w = [0.5 ** (i + 1) for i in range(c - 1)]
+        w.append(w[-1])
+        states.append([{"w": w[i], "m": [40.0 * i + 20.0] * 3, "v": 36.0} for i in range(c)])
+    load_states(fm, states)
+    rng = np.random.default_rng(61)
+    deep = 0
+    for f_idx in range(12):
+        # Each pixel draws near one of its components, or far from all.
+        pick = rng.integers(0, 6, n)
+        z = np.where(pick[:, None] < 5, 40.0 * pick[:, None] + 20.0, 250.0)
+        z = z + rng.normal(0.0, 2.0, (n, 3))
+        states, pos = _step_both(fm, states, z, op, True, f_idx)
+        deep += np.count_nonzero(pos > 0)
+    assert deep >= 10
 
 
 def test_equivalence_pdf_mode_near_exact():
@@ -421,8 +478,8 @@ def _state(fm):
 @pytest.mark.parametrize("crowded", [False, True])
 def test_results_stay_caller_owned(crowded):
     # observe() works in buffers it keeps between frames; what it returns
-    # must not be one of them. Static frames take the gathered branch,
-    # crowded ones the dense branch.
+    # must not be one of them. Static frames blend slot 0 in place,
+    # crowded ones gather every match.
     rng = np.random.default_rng(41)
     n = 300
     frames = _frame_stream(rng, n, 8) if crowded else _static_stream(rng, n, 8)

@@ -318,6 +318,52 @@ def test_stdin_truncated_frame(tmp_path, monkeypatch):
         run_pipeline(_event_config("-", None, width=40, height=30))
 
 
+class _ShortReads(io.RawIOBase):
+    """Raw bytes that arrive at most 3 at a time, as from a slow pipe."""
+
+    def __init__(self, data):
+        self.data = data
+        self.at = 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        chunk = self.data[self.at : self.at + min(3, len(buf))]
+        buf[: len(chunk)] = chunk
+        self.at += len(chunk)
+        return len(chunk)
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_stdin_short_reads(tmp_path, monkeypatch, cut):
+    # sys.stdin.buffer is a BufferedReader, whose read(n) gathers the short
+    # reads of the stream under it until it has n bytes or the stream
+    # ends: frames and a cut-off last frame read as from one whole buffer.
+    frames, _ = generate_scene(_event_scene(), seed=3)
+    raw = b"".join(f.tobytes() for f in frames[:12])
+    if cut:
+        raw = raw[:-100]
+    runs = []
+    for name, stream in (
+        ("whole", io.BytesIO(raw)),
+        ("short", io.BufferedReader(_ShortReads(raw), buffer_size=64)),
+    ):
+        monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=stream))
+        out = tmp_path / name
+        try:
+            run_pipeline(_event_config("-", out, width=40, height=30))
+            error = None
+        except TruncatedPayload as exc:
+            error = str(exc)
+        stats = json.loads((out / "stats.json").read_text())
+        masks = [path.read_bytes() for path in sorted(out.glob("mask_*.pgm"))]
+        runs.append((error, stats["frames"], stats["events"], masks))
+    assert runs[0] == runs[1]
+    assert runs[1][0] == ("raw frame 11 needs 3600 bytes, stream ended after 3500" if cut else None)
+    assert runs[1][1] == (11 if cut else 12)
+
+
 def test_truncated_stream_still_writes_stats(tmp_path, monkeypatch):
     frame = np.full((3, 4, 3), 90, dtype=np.uint8)
     raw = frame.tobytes() * 2 + bytes(5)
@@ -478,7 +524,7 @@ def _busy_scene():
     """A 160x120 room whose left 100 columns flicker between two grays on
     every frame, with a model fast enough (alpha 0.3) to have learned both
     by frame 10, and one actor. About 65% of the pixels then miss slot 0
-    on every frame, so the model tests later slots densely, yet they stay
+    on every frame, so the model gathers every match, yet they stay
     background: foreground pixels would measure the shadow layer's own
     per-pixel temporaries instead."""
     actor = Actor(size=(20, 20), color=(200, 40, 40), waypoints=(Waypoint(0, 100, 80), Waypoint(29, 130, 10)))
@@ -501,8 +547,8 @@ def test_steady_state_frames_allocate_little(busy):
     # steady-state frame allocates little beyond the arrays it hands back.
     # Fresh full-raster temporaries would show here: without kept buffers
     # a steady frame peaks near 8.8 x 24 bytes a pixel. The standard scene
-    # takes the gathered branch, and up to frame 93 sorts only the pixels
-    # with two or more live slots; the busy one takes the dense branch and
+    # blends slot 0 in place, and up to frame 93 sorts only the pixels
+    # with two or more live slots; the busy one gathers every match and
     # sorts every pixel.
     spec, config = _busy_scene() if busy else (standard_scene(), RunConfig())
     frames, _ = generate_scene(spec, seed=1)
