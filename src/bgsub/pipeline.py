@@ -10,11 +10,13 @@ Worker parallelism splits the raster into contiguous row bands, each with
 its own mixture engine, and runs a band's mixture update and shadow
 refinement as one task; pixels are modeled independently, so band
 boundaries cannot change any label. A reader thread decodes into a bounded
-queue (queue_depth), and one writer thread writes mask and overlay files
-in frame order while later frames compute. Once more than queue_depth
-frames' writes are pending, the loop waits for the oldest; a failed write
-ends the run at that wait, queue_depth frames after its own. Timing covers
-compute only, so neither knob affects results, only scheduling.
+queue (queue_depth), and one writer thread encodes the mask, renders and
+encodes the overlay, and writes both files, in frame order, while later
+frames compute; it is handed the frame and its result, which nothing
+writes to afterwards. Once more than queue_depth frames' writes are
+pending, the loop waits for the oldest; a failed write ends the run at
+that wait, queue_depth frames after its own. Timing covers compute only,
+so neither knob affects results, only scheduling.
 
 Each FramePipeline owns one float64 (h*w, 3) copy of the frame, made at
 construction and refilled by every process() call, and each band model
@@ -39,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import EmitFlags, RunConfig
 from .errors import (
     DimensionChangedMidStream,
     InputUnavailable,
@@ -203,9 +205,13 @@ def _frame_source(config: RunConfig, stop: threading.Event):
     return out_q, thread
 
 
-def _write_files(files: list) -> None:
-    for path, data in files:
-        path.write_bytes(data)
+def _write_files(out_dir: Path, emit: EmitFlags, frame: np.ndarray, result: FrameResult) -> None:
+    """Encode one frame's mask and overlay and write them, mask first."""
+    if emit.masks:
+        (out_dir / f"mask_{result.index:06d}.pgm").write_bytes(encode_mask(result.classes))
+    if emit.overlays:
+        overlay = render_overlay(frame, result.classes)
+        (out_dir / f"overlay_{result.index:06d}.ppm").write_bytes(encode_ppm(overlay))
 
 
 def _prepare_output(config: RunConfig) -> Path | None:
@@ -228,8 +234,8 @@ def run_pipeline(config: RunConfig) -> dict:
     Emits mask/overlay rasters, an events JSONL and a stats JSON into the
     output directory according to the emit flags (file outputs are
     skipped when no output directory is configured). Throughput numbers
-    cover compute only; decoding and disk writes happen outside the
-    timed sections.
+    cover compute only; decoding, encoding and disk writes happen outside
+    the timed sections.
 
     A run that ends by an exception, an interrupt included, still writes
     the stats of the frames processed so far, with an added "error" key,
@@ -237,6 +243,7 @@ def run_pipeline(config: RunConfig) -> dict:
     """
     out_dir = _prepare_output(config)
     frame_seconds: list[float] = []
+    # Keys in the order stats.json lists them.
     event_counts = {KIND_INTRUSION: 0, KIND_ABANDONED: 0, KIND_MOTION_STARTED: 0}
     try:
         _run_stream(config, out_dir, frame_seconds, event_counts)
@@ -282,13 +289,7 @@ def _run_stream(
                 if events_file is not None:
                     events_file.write(json.dumps(event.to_json()) + "\n")
             if writer is not None:
-                files = []
-                if emit.masks:
-                    files.append((out_dir / f"mask_{result.index:06d}.pgm", encode_mask(result.classes)))
-                if emit.overlays:
-                    overlay = render_overlay(frame, result.classes)
-                    files.append((out_dir / f"overlay_{result.index:06d}.ppm", encode_ppm(overlay)))
-                pending.append(writer.submit(_write_files, files))
+                pending.append(writer.submit(_write_files, out_dir, emit, frame, result))
                 if len(pending) > config.queue_depth:
                     pending.popleft().result()  # raises a failed write's error
         while pending:
@@ -316,11 +317,7 @@ def _stats(frame_seconds: list[float], event_counts: dict) -> dict:
         "frames": n,
         "mean_fps": (n / total) if total > 0.0 else 0.0,
         "p95_frame_ms": float(np.percentile(np.array(frame_seconds) * 1000.0, 95)) if n else 0.0,
-        "events": {
-            "intrusion": event_counts[KIND_INTRUSION],
-            "abandoned": event_counts[KIND_ABANDONED],
-            "motion_started": event_counts[KIND_MOTION_STARTED],
-        },
+        "events": dict(event_counts),
     }
 
 

@@ -55,32 +55,28 @@ def refine_classes(
     order, b is (n,) background prefix sizes: only the first b[i] means of
     pixel i count as background colors. Returns a new (n,) uint8 class
     array with foreground pixels split into FOREGROUND and SHADOW; other
-    labels pass through.
+    labels pass through, and labels itself is left as it is.
 
     Against background color bg, the brightness distortion is
     bd = (z . bg) / |bg|^2 and the chromaticity distortion
     cd = |z - bd * bg| / |bg|. A pixel shadows bg when bd_low <= bd <=
     bd_high and cd <= cd_max, both band edges inclusive. A background
     color shorter than MIN_BG_NORM never casts a shadow.
+
+    Slot k is tested only on the foreground pixels that have a k-th
+    background color (k < b) and shadowed none of slots 0..k-1, so the
+    index narrows slot by slot and the loop stops once it is empty.
     """
-    fg = labels == FOREGROUND
     out = labels.copy()
-    if not fg.any():
-        return out
-    idx = np.nonzero(fg)[0]
-    zf = z[idx]
-    shadowed = np.zeros(len(idx), dtype=bool)
-    k_slots = means.shape[0]
-    for k in range(k_slots):
-        consider = (k < b[idx]) & ~shadowed
-        if not consider.any():
-            continue
+    idx = np.flatnonzero(labels == FOREGROUND)
+    for k in range(means.shape[0]):
+        idx = idx[b[idx] > k]
+        if not idx.size:
+            break
+        zf = z[idx]
         bg = means[k, idx]
         nb2 = bg[:, 0] * bg[:, 0] + bg[:, 1] * bg[:, 1] + bg[:, 2] * bg[:, 2]
         norm_b = np.sqrt(nb2)
-        ok = consider & (norm_b >= MIN_BG_NORM)
-        if not ok.any():
-            continue
         dot = zf[:, 0] * bg[:, 0] + zf[:, 1] * bg[:, 1] + zf[:, 2] * bg[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
             bd = dot / nb2
@@ -88,7 +84,8 @@ def refine_classes(
             ry = zf[:, 1] - bd * bg[:, 1]
             rz = zf[:, 2] - bd * bg[:, 2]
             cd = np.sqrt(rx * rx + ry * ry + rz * rz) / norm_b
-            hit = ok & (params.bd_low <= bd) & (bd <= params.bd_high) & (cd <= params.cd_max)
-        shadowed |= hit
-    out[idx[shadowed]] = SHADOW
+            hit = (norm_b >= MIN_BG_NORM) & (params.bd_low <= bd)
+            hit &= (bd <= params.bd_high) & (cd <= params.cd_max)
+        out[idx[hit]] = SHADOW
+        idx = idx[~hit]
     return out

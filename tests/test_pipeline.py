@@ -22,7 +22,7 @@ from bgsub.errors import (
 from bgsub.events import EventParams, Zone
 from bgsub.frame_model import MULTI_SLOT_FRACTION, SPARSE_MISS_FRACTION
 from bgsub.gmm import BACKGROUND, FOREGROUND, ModelParams
-from bgsub.netpbm import decode_pgm, decode_ppm, encode_mask, encode_ppm
+from bgsub.netpbm import decode_pgm, decode_ppm, encode_mask, encode_ppm, render_overlay
 from bgsub.pipeline import STAGE_NAMES, FramePipeline, run_pipeline
 from bgsub.scenes import (
     Actor,
@@ -420,14 +420,38 @@ def test_run_leaves_no_threads_behind(event_scene_dir, tmp_path):
 def test_threaded_writes_match_in_memory_run_under_frequent_switches(event_scene_dir, tmp_path):
     frames, _ = generate_scene(_event_scene(), seed=3)
     pipeline = FramePipeline(_event_config(event_scene_dir, None), 40, 30)
-    expected = [encode_mask(pipeline.process(frame).classes) for frame in frames]
+    classes = [pipeline.process(frame).classes for frame in frames]
+    masks = [encode_mask(c) for c in classes]
+    overlays = [encode_ppm(render_overlay(f, c)) for f, c in zip(frames, classes)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         run_pipeline(_event_config(event_scene_dir, tmp_path / "out", queue_depth=1))
     finally:
         sys.setswitchinterval(interval)
-    assert [p.read_bytes() for p in sorted((tmp_path / "out").glob("mask_*.pgm"))] == expected
+    out = tmp_path / "out"
+    assert [p.read_bytes() for p in sorted(out.glob("mask_*.pgm"))] == masks
+    assert [p.read_bytes() for p in sorted(out.glob("overlay_*.ppm"))] == overlays
+
+
+def test_encoding_runs_off_the_main_thread(event_scene_dir, tmp_path, monkeypatch):
+    # The writer thread encodes masks and renders and encodes overlays, so
+    # that work overlaps the next frame's compute instead of adding to it.
+    threads = {}
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.current_thread())
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("encode_mask", "render_overlay", "encode_ppm"):
+        monkeypatch.setattr(bgsub.pipeline, name, recording(name, getattr(bgsub.pipeline, name)))
+    run_pipeline(_event_config(event_scene_dir, tmp_path / "out"))
+    assert sorted(threads) == ["encode_mask", "encode_ppm", "render_overlay"]
+    for name, seen in threads.items():
+        assert threading.main_thread() not in seen, name
 
 
 @pytest.mark.parametrize("bad", [3, 39])

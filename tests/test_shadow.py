@@ -184,7 +184,10 @@ def test_refine_classes_matches_scalar():
     z[40:120] = means[0, 40:120] * rng.uniform(0.45, 0.9, (80, 1))
     b = rng.integers(1, k + 1, n)
     labels = np.where(rng.random(n) < 0.6, FOREGROUND, BACKGROUND).astype(np.uint8)
+    before = labels.copy()
     out = refine_classes(labels, z, means, b, P)
+    # a new array; the input labels stay as they were
+    assert out is not labels and np.array_equal(labels, before)
     for j in range(n):
         mean_list = [means[i, j].tolist() for i in range(k)]
         expect = oracle_refine(
@@ -199,4 +202,4 @@ def test_refine_classes_no_foreground_short_circuit():
     means = np.zeros((2, 10, 3))
     b = np.ones(10, dtype=np.int64)
     out = refine_classes(labels, z, means, b, P)
-    assert np.array_equal(out, labels)
+    assert out is not labels and np.array_equal(out, labels)
