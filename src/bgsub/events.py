@@ -36,7 +36,7 @@ KIND_INTRUSION = "intrusion"
 class EventParams:
     max_assoc_dist: float = 30.0
     eps_move: float = 2.0
-    n_static: int = 150
+    n_static: int = 20
     track_timeout: int = 30
 
     def __post_init__(self) -> None:

@@ -9,14 +9,16 @@ models and is classified all background.
 Worker parallelism splits the raster into contiguous row bands, each with
 its own mixture engine, and runs a band's mixture update and shadow
 refinement as one task; pixels are modeled independently, so band
-boundaries cannot change any label. A reader thread decodes into a bounded
-queue (queue_depth), and one writer thread encodes the mask, renders and
-encodes the overlay, and writes both files, in frame order, while later
-frames compute; it is handed the frame and its result, which nothing
-writes to afterwards. Once more than queue_depth frames' writes are
-pending, the loop waits for the oldest; a failed write ends the run at
-that wait, queue_depth frames after its own. Timing covers compute only,
-so neither knob affects results, only scheduling.
+boundaries cannot change any label. Reads and writes each run on a
+one-thread executor, in frame order. The reader decodes up to queue_depth
+frames ahead of the one being processed; a failed read raises at its own
+frame. The writer encodes the mask, renders and encodes the overlay, and
+writes both files while later frames compute; it is handed the frame and
+its result, which nothing writes to afterwards. Once more than
+queue_depth frames' writes are pending, the loop waits for the oldest; a
+failed write ends the run at that wait, queue_depth frames after its own.
+Any exit waits for the read in flight and the queued writes. Timing
+covers compute only, so neither knob affects results, only scheduling.
 
 Each FramePipeline owns one float64 (h*w, 3) copy of the frame, made at
 construction and refilled by every process() call, and each band model
@@ -30,9 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import queue
 import sys
-import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -85,9 +85,7 @@ class FramePipeline:
         # The frame as float64, refilled by every process() call; each band
         # reads its own rows of it.
         self._z = np.empty((height * width, 3))
-        self._band_z = [
-            self._z[a * width : b * width] for a, b in zip(bounds, bounds[1:]) if b > a
-        ]
+        self._band_z = [self._z[a * width : b * width] for a, b in zip(bounds, bounds[1:])]
         self.models = [FrameModel(config.model, len(z)) for z in self._band_z]
         self.tracker = EventTracker(config.events, config.zones)
         self._pool = ThreadPoolExecutor(len(self.models)) if len(self.models) > 1 else None
@@ -159,34 +157,10 @@ def _raw_frames(stream, width: int, height: int):
         yield decode_frame(data, width, height)
 
 
-def _reader(frames, out_q, stop):
-    """Put each frame on out_q, then None, or the exception that ended the
-    reading."""
-    try:
-        for item in frames:
-            if not _queue_put(out_q, item, stop):
-                return
-        item = None
-    except Exception as exc:
-        item = exc
-    _queue_put(out_q, item, stop)
-
-
-def _queue_put(out_q, item, stop) -> bool:
-    while not stop.is_set():
-        try:
-            out_q.put(item, timeout=0.1)
-            return True
-        except queue.Full:
-            continue
-    return False
-
-
-def _frame_source(config: RunConfig, stop: threading.Event):
-    """Check the input, then start the reader thread; return (queue, thread)."""
+def _frames(config: RunConfig):
+    """Check the input; return an iterator of its decoded frames."""
     if config.input is None:
         raise InputUnavailable("no input configured")
-    out_q: queue.Queue = queue.Queue(maxsize=config.queue_depth)
     if config.input == "-":
         if config.width is None or config.height is None:
             raise InputUnavailable("raw stdin input needs width and height")
@@ -199,10 +173,7 @@ def _frame_source(config: RunConfig, stop: threading.Event):
         if not paths:
             raise InputUnavailable(f"no frame_*.ppm files in {in_dir}")
         frames = (decode_frame(path.read_bytes()) for path in paths)
-    frames = itertools.islice(frames, config.max_frames)
-    thread = threading.Thread(target=_reader, args=(frames, out_q, stop), daemon=True)
-    thread.start()
-    return out_q, thread
+    return itertools.islice(frames, config.max_frames)
 
 
 def _write_files(out_dir: Path, emit: EmitFlags, frame: np.ndarray, result: FrameResult) -> None:
@@ -262,12 +233,16 @@ def _run_stream(
 ) -> None:
     """Read, process and emit every frame; append each frame's compute time
     to frame_seconds and count its events as they happen."""
-    stop = threading.Event()
-    frames_q, reader = _frame_source(config, stop)
+    frames = _frames(config)
     emit = config.emit
     pipeline: FramePipeline | None = None
     events_file = None
-    # writer runs the file writes in order; pending holds their futures.
+    # reader decodes frames in order, at most queue_depth ahead of the one
+    # being processed; reads holds their futures, and a read past the end
+    # returns None. writer runs the file writes in order; pending holds
+    # their futures.
+    reader = ThreadPoolExecutor(1)
+    reads = deque(reader.submit(next, frames, None) for _ in range(config.queue_depth))
     writer = None
     pending: deque = deque()
     if out_dir is not None and (emit.masks or emit.overlays):
@@ -275,9 +250,8 @@ def _run_stream(
     try:
         if out_dir is not None and emit.events:
             events_file = (out_dir / "events.jsonl").open("w", encoding="utf-8")
-        while (frame := frames_q.get()) is not None:
-            if isinstance(frame, Exception):
-                raise frame
+        while (frame := reads.popleft().result()) is not None:  # raises a failed read's error
+            reads.append(reader.submit(next, frames, None))
             if pipeline is None:
                 h, w = frame.shape[:2]
                 pipeline = FramePipeline(config, w, h)
@@ -295,15 +269,9 @@ def _run_stream(
         while pending:
             pending.popleft().result()
     finally:
+        reader.shutdown(cancel_futures=True)  # waits for the read in flight
         if writer is not None:
             writer.shutdown()  # waits for the queued writes
-        stop.set()
-        while True:  # unblock the reader if it is waiting on a full queue
-            try:
-                frames_q.get_nowait()
-            except queue.Empty:
-                break
-        reader.join(timeout=5.0)
         if events_file is not None:
             events_file.close()
         if pipeline is not None:

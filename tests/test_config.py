@@ -24,7 +24,7 @@ def test_empty_config_gives_defaults():
     assert cfg.shadow.bd_low == 0.4
     assert cfg.segmentation.connectivity == EIGHT
     assert cfg.segmentation.min_area == 15
-    assert cfg.events.n_static == 150
+    assert cfg.events.n_static == 20
     assert cfg.zones == []
     assert cfg.emit == EmitFlags(True, True, True, True)
 

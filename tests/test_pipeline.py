@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import threading
+import time
 import tracemalloc
 import types
 
@@ -401,6 +402,80 @@ def test_interrupted_run_still_writes_stats(event_scene_dir, tmp_path, monkeypat
     assert stats["error"] == "KeyboardInterrupt: "
     lines = (out / "events.jsonl").read_text().splitlines()
     assert [json.loads(line)["kind"] for line in lines] == ["motion_started"]
+
+
+class _StallingStream:
+    """Raw frames read one whole frame at a time, then a stall until
+    release is set, then the end of the stream: a live producer that
+    stops sending."""
+
+    def __init__(self, frames, release):
+        self.frames = list(frames)
+        self.release = release
+
+    def read(self, n):
+        if self.frames:
+            return self.frames.pop(0)
+        self.release.wait(timeout=10.0)
+        return b""
+
+
+def test_early_exit_waits_for_a_stalled_stdin_read(tmp_path, monkeypatch):
+    frames, _ = generate_scene(_event_scene(), seed=3)
+    release = threading.Event()
+    stream = _StallingStream([f.tobytes() for f in frames[:3]], release)
+    monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=stream))
+    process = FramePipeline.process
+
+    def interrupt_at_frame_2(self, frame):
+        if self.frame_index == 2:
+            raise KeyboardInterrupt
+        return process(self, frame)
+
+    monkeypatch.setattr(FramePipeline, "process", interrupt_at_frame_2)
+    out = tmp_path / "out"
+    before = set(threading.enumerate())
+    timer = threading.Timer(0.3, release.set)
+    timer.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(_event_config("-", out, width=40, height=30))
+        # the read in flight was waited for, not abandoned
+        assert release.is_set()
+    finally:
+        timer.join(timeout=10.0)
+    assert not timer.is_alive()
+    assert set(threading.enumerate()) == before
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["frames"] == 2
+    assert stats["error"] == "KeyboardInterrupt: "
+
+
+def test_reader_stays_queue_depth_frames_ahead(event_scene_dir, monkeypatch):
+    # When compute is the slow side, the reader decodes up to queue_depth
+    # frames past the one being processed, and no further.
+    depth = 2
+    decoded = 0
+    decode = bgsub.pipeline.decode_frame
+
+    def counting_decode(*args):
+        nonlocal decoded
+        decoded += 1
+        return decode(*args)
+
+    process = FramePipeline.process
+    ahead = []
+
+    def slow_process(self, frame):
+        time.sleep(0.005)  # time for the reader to get as far ahead as it may
+        ahead.append(decoded - (self.frame_index + 1))
+        return process(self, frame)
+
+    monkeypatch.setattr(bgsub.pipeline, "decode_frame", counting_decode)
+    monkeypatch.setattr(FramePipeline, "process", slow_process)
+    stats = run_pipeline(_event_config(event_scene_dir, None, queue_depth=depth))
+    assert stats["frames"] == 40
+    assert max(ahead) == depth
 
 
 def test_completed_run_stats_have_no_error(event_scene_dir, tmp_path):

@@ -4,7 +4,8 @@ The reference scene scores F1 1.000 on both classes, so its floors cannot
 see a regression. Each scene here costs the pipeline some accuracy, and
 each floor sits just under the value measured under RunConfig() with
 seed 7 and 30 warm-up frames; a change that loses accuracy on that scene
-fails the gate.
+fails the gate. The last test gates the abandoned-object alarm under the
+default event settings.
 """
 
 from dataclasses import replace
@@ -12,9 +13,10 @@ from dataclasses import replace
 import pytest
 
 from bgsub.config import RunConfig
+from bgsub.events import KIND_ABANDONED
 from bgsub.metrics import score
 from bgsub.pipeline import FramePipeline
-from bgsub.scenes import Flicker, GainRamp, generate_scene, standard_scene
+from bgsub.scenes import Actor, Flicker, GainRamp, SceneSpec, Waypoint, generate_scene, standard_scene
 
 SCENARIOS = {
     # Sensor noise at sigma 8: measured foreground F1 0.94710.
@@ -45,3 +47,32 @@ def test_scenario_f1_floor(name):
         pipeline.close()
     f1 = score(pred, truth, warmup=30)["per_class"][cls]["f1"]
     assert f1 is not None and f1 >= floor, f"{name}: {cls} F1 {f1} below {floor}"
+
+
+def test_default_config_raises_the_abandoned_alarm():
+    # Acceptance check C08's scene, run under RunConfig(): at the default
+    # alpha 0.01 the model absorbs the parked square about 32 frames after
+    # it stops (frame 50; 400 foreground pixels up to frame 70, 40 at frame
+    # 80, none from frame 90), so only an n_static short of that can alarm.
+    spec = SceneSpec(
+        width=120,
+        height=90,
+        frames=260,
+        background=(120, 120, 120),
+        noise_sigma=2.0,
+        actors=(
+            Actor(
+                size=(20, 20),
+                color=(180, 60, 60),
+                waypoints=(Waypoint(20, 10, 40), Waypoint(50, 70, 40)),
+                from_frame=20,
+            ),
+        ),
+    )
+    frames, _ = generate_scene(spec, seed=19)
+    pipeline = FramePipeline(RunConfig(), spec.width, spec.height)
+    try:
+        events = [e for frame in frames for e in pipeline.process(frame).events]
+    finally:
+        pipeline.close()
+    assert [e.frame for e in events if e.kind == KIND_ABANDONED] == [70]
