@@ -16,23 +16,31 @@ tests hold it to. In the pdf-scaled rho mode the state can differ from
 such a loop in the last bits, since numpy's power and exp need not
 round as the loop's do.
 
+The means are stored as channel planes, one (3, k, n) array, so that
+every step on them runs long unit-stride loops: each channel of each slot
+is one contiguous row of n values. observe() reads the samples the same
+way, through z.T; FramePipeline hands each band its samples as the
+transposed view of (3, n) planes, which makes those rows contiguous too.
+Any (n, 3) layout gives the same state, only more slowly.
+
 The match test costs in proportion to the slots that can still match.
 Slot 0 is live for every started pixel and is tested densely, in chunks
 of about BLEND_CHUNK pixels. Slot j is then tested only for the pixels
-that missed slots 0..j-1 and have more than j live slots, on rows
+that missed slots 0..j-1 and have more than j live slots, on values
 gathered by index, however many pixels missed slot 0.
 
 State is updated in place. A chunk where at most SPARSE_MISS_FRACTION of
 its own pixels missed slot 0 (most chunks of a static frame, and the
 still parts of a busy one) blends its slot-0 matches directly on the
-dense slot-0 rows, in the pass that tested them, while they are in
+dense slot-0 planes, in the pass that tested them, while they are in
 cache. It uses a per-pixel rho that is zero where slot 0 did not match:
 for finite samples, such as pixel values, mu * 1.0 + 0.0 * z and
 var * 1.0 + 0.0 leave those pixels exactly as they were. The variance
 floor and the weight reward are masked to the matches, since a fresh
 var_init may lie below var_min. Every other per-pixel slot read and
-write goes through flat indices (slot * n + pixel) into raveled views,
-and only for the pixels concerned: pixels matched at a later slot, or at
+write goes through flat indices (slot * n + pixel) into raveled views of
+the weights, the variances and each mean plane, one plane at a time, and
+only for the pixels concerned: pixels matched at a later slot, or at
 slot 0 in a chunk with more misses, gather, blend and scatter their
 matched slot; unmatched pixels fill a fresh one and renormalize. Both
 blends run one helper, so the state does not depend on which of them a
@@ -51,10 +59,10 @@ Slots beyond a pixel's live count hold weight exactly 0.0 and never
 influence sums, matching or the background prefix.
 
 Each FrameModel owns the work buffers of its observe() calls: a float
-block, two (n, 3) row buffers, and n-sized float, index and mask
+block, two (3, n) plane buffers, and n-sized float, index and mask
 buffers, allocated on the first observe() after the seeding one and
 reused for every frame after that, through out= arguments and [:m]
-views; the chunked slot-0 pass reuses their leading BLEND_CHUNK rows
+views; the chunked slot-0 pass reuses their leading BLEND_CHUNK columns
 and writes nothing into z. The reason is memory, not arithmetic: fresh
 temporaries for every frame (about 8.8 times 24 bytes a pixel) would be
 handed back to the system by the C allocator between frames, and every
@@ -77,7 +85,7 @@ from .gmm import BACKGROUND, FOREGROUND, GAUSS_NORM_3D, PDF_FAITHFUL, ModelParam
 SPARSE_MISS_FRACTION = 0.2
 
 # Pixels per chunk of the slot-0 test and in-place blend, so that a chunk's
-# (chunk, 3) temporaries (384 KiB each at 16384) stay in cache. n pixels
+# (3, chunk) temporaries (384 KiB each at 16384) stay in cache. n pixels
 # make max(1, round(n / BLEND_CHUNK)) chunks, as equal in size as possible.
 # observe(), mean of the per-frame best of 8-10 alternating passes over the
 # seed-1 frames (2-vCPU shared Xeon, 4 MiB L2 a core): vga640 read 14.3 ms
@@ -100,8 +108,10 @@ MULTI_SLOT_FRACTION = 1 / 3
 class FrameModel:
     """Mixture state for n_pixels pixels, k slots each.
 
-    Arrays are indexed [slot, pixel] (means have a trailing channel axis),
-    stay C-contiguous and are updated in place by observe(). They are kept
+    Arrays are indexed [slot, pixel] and updated in place by observe().
+    weights, variances, live_count and mean_planes, the (3, k, n) channel
+    planes of the means, stay C-contiguous; means is the (k, n, 3) view of
+    mean_planes, indexed [slot, pixel, channel], and is not. Slots are kept
     sorted per pixel by weight/sigma, highest first; equal ranks keep
     their slot order. The first observe() call seeds every pixel with a
     single component and classifies everything as background.
@@ -114,7 +124,9 @@ class FrameModel:
         self.params = params
         self.n = n_pixels
         self.weights = np.zeros((k, n_pixels), dtype=np.float64)
-        self.means = np.zeros((k, n_pixels, 3), dtype=np.float64)
+        # One plane per channel; means is its (k, n, 3) view.
+        self.mean_planes = np.zeros((3, k, n_pixels), dtype=np.float64)
+        self.means = self.mean_planes.transpose(1, 2, 0)
         self.variances = np.full((k, n_pixels), params.var_init, dtype=np.float64)
         self.live_count = np.zeros(n_pixels, dtype=np.int64)
         self.started = False
@@ -123,10 +135,11 @@ class FrameModel:
     def observe(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance every pixel model by one frame.
 
-        z is (n, 3) float64. Returns (labels, pos, b): uint8 labels
-        (BACKGROUND/FOREGROUND), the post-sort slot that absorbed each
-        pixel's value, and the per-pixel background prefix size. All
-        three are new arrays; z is only read.
+        z is (n, 3) float64 in any layout; the transposed view of (3, n)
+        channel planes reads fastest (module docstring). Returns (labels,
+        pos, b): uint8 labels (BACKGROUND/FOREGROUND), the post-sort slot
+        that absorbed each pixel's value, and the per-pixel background
+        prefix size. All three are new arrays; z is only read.
         """
         p = self.params
         n = self.n
@@ -145,13 +158,14 @@ class FrameModel:
         s = self._scratch
         k = p.k
         w = self.weights
-        mu = self.means
         var = self.variances
         count = self.live_count
-        # Flat views: slot j of pixel i sits at j * n + i.
+        # The samples and the means as channel planes: zt[c] is channel c
+        # of every pixel, mu_flat[c] that channel of every slot. Flat views:
+        # slot j of pixel i sits at j * n + i.
+        zt = z.T
+        mu_flat = self.mean_planes.reshape(3, -1)
         w_flat = w.reshape(-1)
-        mu_flat = mu.reshape(-1, 3)
-        mu_rows = _rows(mu_flat)
         var_flat = var.reshape(-1)
 
         # Slot 0 is live for every started pixel: test it chunk by chunk, and
@@ -168,8 +182,9 @@ class FrameModel:
         for i in range(n_chunks):
             cut = slice(i * n // n_chunks, (i + 1) * n // n_chunks)
             c = cut.stop - cut.start
-            mu_c, var_c, z_c, d2_c, hit_c = mu[0, cut], var[0, cut], z[cut], s.block[:c], hit0[cut]
-            _sq_norm(np.subtract(z_c, mu_c, out=s.rows[0][:c]), d2_c)
+            mu_c, var_c, z_c = self.mean_planes[:, 0, cut], var[0, cut], zt[:, cut]
+            d2_c, hit_c = s.block[:c], hit0[cut]
+            _sq_norm(np.subtract(z_c, mu_c, out=s.rows[0, :, :c]), d2_c)
             np.less(d2_c, np.multiply(limit, var_c, out=s.f0[:c]), out=hit_c)
             miss = np.count_nonzero(np.logical_not(hit_c, out=unmatched[cut]))
             n_miss += miss
@@ -182,7 +197,7 @@ class FrameModel:
             else:
                 np.multiply(hit_c, p.alpha, out=rho)
             keep = np.subtract(1.0, rho, out=s.f2[:c])
-            _blend(mu_c, var_c, z_c, rho, keep, s.rows[0][:c], s.rows[1][:c], s.f3[:c])
+            _blend(mu_c, var_c, z_c, rho, keep, s.rows[0, :, :c], s.rows[1, :, :c], s.f3[:c])
             np.maximum(var_c, p.var_min, out=var_c, where=hit_c)
             blended.append(cut)
 
@@ -202,8 +217,8 @@ class FrameModel:
             held, spare = spare, held
             rest = np.compress(live, rest, out=held[:r])
             f = np.add(rest, j * n, out=s.i2[:r])
-            dz = _take(z, rest, s.rows[0])
-            dz -= _take(mu_flat, f, s.rows[1])
+            dz = _take_planes(zt, rest, s.rows[0])
+            dz -= _take_planes(mu_flat, f, s.rows[1])
             d2_j = s.f0[:r]
             _sq_norm(dz, d2_j)
             lim_j = _take(var_flat, f, s.f1)
@@ -258,22 +273,22 @@ class FrameModel:
 
         # Gathered matched pixels: reward the match, pull its mean and
         # variance to z.
-        z_m = _take(z, im, s.rows[0])
+        z_m = _take_planes(zt, im, s.rows[0])
         w_m = _take(w_flat, fm, s.f1)
         w_m += p.alpha
         w_flat[fm] = w_m
-        mu_j = _take(mu_flat, fm, s.rows[1])
+        mu_j = _take_planes(mu_flat, fm, s.rows[1])
         var_j = _take(var_flat, fm, s.f1)
         if pdf_mode:
             d2_m = s.f0[:m]
-            _sq_norm(np.subtract(z_m, mu_j, out=s.block[: 3 * m].reshape(m, 3)), d2_m)
+            _sq_norm(np.subtract(z_m, mu_j, out=s.block[: 3 * m].reshape(3, m)), d2_m)
             rho_j = _pdf_rho(var_j, d2_m, p.alpha, s.f2[:m], s.f3[:m])
             keep = np.subtract(1.0, rho_j, out=s.f3[:m])
         else:
             rho_j = p.alpha
             keep = 1.0 - p.alpha
-        _blend(mu_j, var_j, z_m, rho_j, keep, s.block[: 3 * m].reshape(m, 3), z_m, s.f0[:m])
-        mu_rows[fm] = _rows(mu_j)
+        _blend(mu_j, var_j, z_m, rho_j, keep, s.block[: 3 * m].reshape(3, m), z_m, s.f0[:m])
+        _put_planes(mu_flat, fm, mu_j)
         var_flat[fm] = np.maximum(var_j, p.var_min, out=var_j)
 
         # Unmatched pixels: fresh component in the target slot, then
@@ -283,7 +298,7 @@ class FrameModel:
         ft *= n
         ft += iu
         w_flat[ft] = p.w_init
-        mu_rows[ft] = _rows(_take(z, iu, s.rows[0]))
+        _put_planes(mu_flat, ft, _take_planes(zt, iu, s.rows[0]))
         var_flat[ft] = p.var_init
         w_u = _take(w, iu, s.block, axis=1)
         total = s.f0[:n_u]
@@ -316,7 +331,6 @@ class FrameModel:
             np.divide(w, rank, out=rank)
         size = rank.shape[1]
         rank_flat = rank.reshape(-1)
-        row_a, row_b = _rows(s.rows[0]), _rows(s.rows[1])
         for top in range(k - 1, 0, -1):
             for a in range(top):
                 up = np.greater(rank[a + 1], rank[a], out=s.m1[:size])
@@ -332,9 +346,8 @@ class FrameModel:
                     sw = _take(pix, sw, s.i1)
                     fa = np.add(sw, a * n, out=s.i0[:n_sw])
                     fb = np.add(sw, (a + 1) * n, out=s.i2[:n_sw])
-                _swap(w_flat, fa, fb, s.f0, s.f1)
-                _swap(var_flat, fa, fb, s.f0, s.f1)
-                _swap(mu_rows, fa, fb, row_a, row_b)
+                for a_flat in (w_flat, var_flat, *mu_flat):
+                    _swap(a_flat, fa, fb, s.f0, s.f1)
                 # pos a becomes a + 1 and pos a + 1 becomes a.
                 pos_sw = _take(pos, sw, s.i2)
                 to_b = np.equal(pos_sw, a, out=s.m1[:n_sw])
@@ -362,19 +375,20 @@ class FrameModel:
 class _Scratch:
     """Work buffers of one FrameModel's observe(), each sized for all n
     pixels; a step over m pixels uses [:m] views. Steps that do not overlap
-    share a buffer, so the set (about 148 bytes a pixel at k = 3) is
-    smaller than the temporaries a frame allocated without it. hit0 holds
-    the slot-0 matches from the match test to the weight reward."""
+    share a buffer, so the set is smaller than the temporaries a frame
+    allocated without it: at k = 3, 148 bytes a pixel (index 8, block 24,
+    the two (3, n) rows 48, float 32, index 32, mask 3, hit0 1). hit0
+    holds the slot-0 matches from the match test to the weight reward."""
 
     def __init__(self, k: int, n: int):
         self.index = np.arange(n)
         # The slot-0 squared distances of a chunk, then the gathered
         # weights of the slot choice and the renormalization, the z - mu
-        # and rho * z rows of the gathered update, and the ranks: (k, n) of
-        # every pixel, or (k, m) of the m <= n/2 multi-slot pixels followed
+        # and rho * z planes of the gathered update, and the ranks: (k, n)
+        # of every pixel, or (k, m) of the m <= n/2 multi-slot pixels followed
         # by their weights.
         self.block = np.empty(max(k, 3) * n)
-        self.rows = np.empty((2, n, 3))
+        self.rows = np.empty((2, 3, n))
         self.f0, self.f1, self.f2, self.f3 = np.empty((4, n))
         self.i0, self.i1, self.i2, self.i3 = np.empty((4, n), dtype=np.int64)
         self.m0, self.m1, self.m2 = np.empty((3, n), dtype=bool)
@@ -391,6 +405,23 @@ def _take(a: np.ndarray, idx: np.ndarray, buf: np.ndarray, axis: int = 0) -> np.
     shape[axis] = idx.size
     out = buf.reshape(-1)[: math.prod(shape)].reshape(shape)
     return np.take(a, idx, axis=axis, out=out, mode="clip")
+
+
+def _take_planes(planes: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Gather idx from each plane of planes into buf[:, :idx.size], one 1-D
+    take a plane: np.take copies a non-contiguous input whole before it
+    gathers, and the planes of a band's samples are not one block."""
+    out = buf[:, : idx.size]
+    for plane, row in zip(planes, out):
+        np.take(plane, idx, out=row, mode="clip")
+    return out
+
+
+def _put_planes(planes: np.ndarray, idx: np.ndarray, v: np.ndarray) -> None:
+    """planes[:, idx] = v, one plane at a time, which is faster than the
+    2-D assignment."""
+    for plane, row in zip(planes, v):
+        plane[idx] = row
 
 
 def _swap(
@@ -441,15 +472,14 @@ def _blend(
     dn: np.ndarray,
     d2n: np.ndarray,
 ) -> None:
-    """Pull the (m, 3) means mu and (m,) variances var toward the samples z
-    in place, by rho per row (keep = 1 - rho): mu = keep mu + rho z, then
-    var = keep var + rho |z - mu|^2 against the new mean, before the floor.
-    rz, dn and d2n are work buffers of the same sizes; dn may be z itself,
-    which is then overwritten, and z is only read otherwise."""
-    rho_col = rho[:, None] if isinstance(rho, np.ndarray) else rho
-    keep_col = keep[:, None] if isinstance(keep, np.ndarray) else keep
-    mu *= keep_col
-    mu += np.multiply(rho_col, z, out=rz)
+    """Pull the (3, m) mean planes mu and (m,) variances var toward the
+    sample planes z in place, by rho per pixel (keep = 1 - rho): mu = keep
+    mu + rho z, then var = keep var + rho |z - mu|^2 against the new mean,
+    before the floor. rz, dn and d2n are work buffers of the same sizes; dn
+    may be z itself, which is then overwritten, and z is only read
+    otherwise."""
+    mu *= keep
+    mu += np.multiply(rho, z, out=rz)
     _sq_norm(np.subtract(z, mu, out=dn), d2n)
     d2n *= rho
     var *= keep
@@ -457,14 +487,8 @@ def _blend(
 
 
 def _sq_norm(diff: np.ndarray, out: np.ndarray) -> None:
-    """out = |diff|^2 per (m, 3) row, summed in channel order; squares diff
-    in place."""
+    """out = |diff|^2 per pixel of the (3, m) planes diff, summed in channel
+    order; squares diff in place."""
     diff *= diff
-    np.add(diff[:, 0], diff[:, 1], out=out)
-    out += diff[:, 2]
-
-
-def _rows(a: np.ndarray) -> np.ndarray:
-    """View a C-contiguous (m, 3) float64 array as m opaque 24-byte records,
-    so that fancy indexing moves whole rows at once."""
-    return a.view(np.dtype((np.void, 24))).reshape(-1)
+    np.add(diff[0], diff[1], out=out)
+    out += diff[2]

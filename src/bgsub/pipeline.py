@@ -20,8 +20,10 @@ failed write ends the run at that wait, queue_depth frames after its own.
 Any exit waits for the read in flight and the queued writes. Timing
 covers compute only, so neither knob affects results, only scheduling.
 
-Each FramePipeline owns one float64 (h*w, 3) copy of the frame, made at
-construction and refilled by every process() call, and each band model
+Each FramePipeline owns one float64 copy of the frame as (3, h*w)
+channel planes, made at construction and refilled by every process()
+call; a band's samples are the (n, 3) transposed view of its columns,
+the layout its model keeps its means in. Each band model
 owns its own work buffers (see bgsub.frame_model). This keeps a steady
 frame from allocating full-raster temporaries: once freed, those go back
 to the system, and the next frame pays page faults to get them again.
@@ -82,10 +84,12 @@ class FramePipeline:
         self.width = width
         self.height = height
         bounds = np.linspace(0, height, min(config.workers, height) + 1).astype(int)
-        # The frame as float64, refilled by every process() call; each band
-        # reads its own rows of it.
-        self._z = np.empty((height * width, 3))
-        self._band_z = [self._z[a * width : b * width] for a, b in zip(bounds, bounds[1:])]
+        # The frame as float64 channel planes, refilled by every process()
+        # call; each band reads its own pixels of them as an (n, 3) view.
+        self._planes = np.empty((3, height * width))
+        self._band_z = [
+            self._planes[:, a * width : b * width].T for a, b in zip(bounds, bounds[1:])
+        ]
         self.models = [FrameModel(config.model, len(z)) for z in self._band_z]
         self.tracker = EventTracker(config.events, config.zones)
         self._pool = ThreadPoolExecutor(len(self.models)) if len(self.models) > 1 else None
@@ -116,7 +120,7 @@ class FramePipeline:
         if frame.dtype != np.uint8:
             raise ValueError(f"frame {self.frame_index}: dtype {frame.dtype}, expected uint8")
         cfg = self.config
-        np.copyto(self._z, frame.reshape(-1, 3))
+        np.copyto(self._planes, frame.reshape(-1, 3).T)
 
         t0 = time.perf_counter()
         band_map = map if self._pool is None else self._pool.map

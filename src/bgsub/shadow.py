@@ -65,7 +65,10 @@ def refine_classes(
 
     Slot k is tested only on the foreground pixels that have a k-th
     background color (k < b) and shadowed none of slots 0..k-1, so the
-    index narrows slot by slot and the loop stops once it is empty.
+    index narrows slot by slot and the loop stops once it is empty. Each
+    channel is gathered on its own, from z.T and means[k].T, which are
+    contiguous planes when z and means are views of channel planes, as
+    the pipeline's and the FrameModel's are.
     """
     out = labels.copy()
     idx = np.flatnonzero(labels == FOREGROUND)
@@ -73,16 +76,16 @@ def refine_classes(
         idx = idx[b[idx] > k]
         if not idx.size:
             break
-        zf = z[idx]
-        bg = means[k, idx]
-        nb2 = bg[:, 0] * bg[:, 0] + bg[:, 1] * bg[:, 1] + bg[:, 2] * bg[:, 2]
+        z0, z1, z2 = (plane[idx] for plane in z.T)
+        b0, b1, b2 = (plane[idx] for plane in means[k].T)
+        nb2 = b0 * b0 + b1 * b1 + b2 * b2
         norm_b = np.sqrt(nb2)
-        dot = zf[:, 0] * bg[:, 0] + zf[:, 1] * bg[:, 1] + zf[:, 2] * bg[:, 2]
+        dot = z0 * b0 + z1 * b1 + z2 * b2
         with np.errstate(divide="ignore", invalid="ignore"):
             bd = dot / nb2
-            rx = zf[:, 0] - bd * bg[:, 0]
-            ry = zf[:, 1] - bd * bg[:, 1]
-            rz = zf[:, 2] - bd * bg[:, 2]
+            rx = z0 - bd * b0
+            ry = z1 - bd * b1
+            rz = z2 - bd * b2
             cd = np.sqrt(rx * rx + ry * ry + rz * rz) / norm_b
             hit = (norm_b >= MIN_BG_NORM) & (params.bd_low <= bd)
             hit &= (bd <= params.bd_high) & (cd <= params.cd_max)

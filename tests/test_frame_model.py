@@ -82,6 +82,22 @@ def _patchy_stream(rng, n_pixels, n_frames):
     return frames
 
 
+def _band_views(frames, before=7, after=5):
+    """The (n, 3) frames as views of a band of wider (3, N) channel planes,
+    as FramePipeline hands them to its band models: neither C- nor
+    F-contiguous. The planes are NaN outside the band, so a read past it
+    would show in the state."""
+    n = len(frames[0])
+    views = []
+    for z in frames:
+        planes = np.full((3, before + n + after), np.nan)
+        planes[:, before : before + n] = z.T
+        view = planes[:, before : before + n].T
+        assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+        views.append(view)
+    return views
+
+
 def _first_match(fm, z):
     """Each pixel's first live slot that matches z, or -1, computed as
     observe() does, before the call."""
@@ -186,9 +202,10 @@ def _chunk_paths(monkeypatch, p, frames):
     starts, widths = [], []
 
     def spy(mu, *args):
-        # The in-place blend works on slices of the model's own means.
+        # The in-place blend works on slices of the model's own means; a
+        # slice's byte offset over the pixel stride is its first pixel.
         if np.may_share_memory(mu, fm.means):
-            starts.append((mu.ctypes.data - fm.means.ctypes.data) // mu.strides[0])
+            starts.append((mu.ctypes.data - fm.means.ctypes.data) // fm.means.strides[1])
         blend(mu, *args)
 
     def prefix_spy(w, *args):
@@ -245,18 +262,20 @@ def test_path_choice_keeps_state(monkeypatch, k, rho_mode):
     # forcing each either way must give the same run, bit for bit. Up to
     # frame 15 at most half the pixels have two or more live slots, so
     # MULTI_SLOT_FRACTION = 0.5 sorts only those on every frame, and -1.0
-    # every pixel.
+    # every pixel. Nor may the run depend on the layout of z: C-contiguous
+    # rows and band views of channel planes must give the same run.
     p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
     frames = _patchy_stream(np.random.default_rng(51), 200, 16)
     want = _run_alone(p, frames)
     live_count = want[1][3]
     assert np.count_nonzero(live_count > 1) <= len(live_count) / 2
-    for miss, chunk, multi in itertools.product((0.0, 1.0), (1, 200), (-1.0, 0.5)):
+    forms = (frames, _band_views(frames))
+    for miss, chunk, multi, form in itertools.product((0.0, 1.0), (1, 200), (-1.0, 0.5), forms):
         monkeypatch.setattr(bgsub.frame_model, "SPARSE_MISS_FRACTION", miss)
         monkeypatch.setattr(bgsub.frame_model, "BLEND_CHUNK", chunk)
         monkeypatch.setattr(bgsub.frame_model, "MULTI_SLOT_FRACTION", multi)
         fm = FrameModel(p, len(frames[0]))
-        outs = [fm.observe(z) for z in frames]
+        outs = [fm.observe(z) for z in form]
         _assert_same_run(fm, outs, want)
 
 

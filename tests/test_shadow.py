@@ -188,6 +188,14 @@ def test_refine_classes_matches_scalar():
     out = refine_classes(labels, z, means, b, P)
     # a new array; the input labels stay as they were
     assert out is not labels and np.array_equal(labels, before)
+    # The same samples as a band view of wider channel planes, and the same
+    # means as the view of mean planes that FrameModel keeps, classify the
+    # same.
+    planes = np.full((3, n + 9), np.nan)
+    planes[:, 4 : 4 + n] = z.T
+    mean_planes = np.ascontiguousarray(means.transpose(2, 0, 1))
+    z_view, means_view = planes[:, 4 : 4 + n].T, mean_planes.transpose(1, 2, 0)
+    assert np.array_equal(refine_classes(labels, z_view, means_view, b, P), out)
     for j in range(n):
         mean_list = [means[i, j].tolist() for i in range(k)]
         expect = oracle_refine(
