@@ -29,22 +29,25 @@ of about BLEND_CHUNK pixels. Slot j is then tested only for the pixels
 that missed slots 0..j-1 and have more than j live slots, on values
 gathered by index, however many pixels missed slot 0.
 
-State is updated in place. A chunk where at most SPARSE_MISS_FRACTION of
-its own pixels missed slot 0 (most chunks of a static frame, and the
-still parts of a busy one) blends its slot-0 matches directly on the
-dense slot-0 planes, in the pass that tested them, while they are in
-cache. It uses a per-pixel rho that is zero where slot 0 did not match:
-for finite samples, such as pixel values, mu * 1.0 + 0.0 * z and
+State is updated in place. Each chunk blends its slot-0 matches directly
+on the dense slot-0 planes, in the pass that tested them, while they are
+in cache. It uses a per-pixel rho that is zero where slot 0 did not
+match: for finite samples, such as pixel values, mu * 1.0 + 0.0 * z and
 var * 1.0 + 0.0 leave those pixels exactly as they were. The variance
-floor and the weight reward are masked to the matches, since a fresh
-var_init may lie below var_min. Every other per-pixel slot read and
-write goes through flat indices (slot * n + pixel) into raveled views of
-the weights, the variances and each mean plane, one plane at a time, and
-only for the pixels concerned: pixels matched at a later slot, or at
-slot 0 in a chunk with more misses, gather, blend and scatter their
-matched slot; unmatched pixels fill a fresh one and renormalize. Both
-blends run one helper, so the state does not depend on which of them a
-pixel took, nor on the chunk size.
+floor and the weight reward are plain arithmetic as well, not masked
+ufuncs, which run about ten times slower on a noisy mask: a miss is
+floored at 0.0, which keeps its variance, since variances are always
+positive (even a fresh var_init below var_min), and is rewarded 0.0,
+which keeps its weight, since no weight is ever -0.0. Every other
+per-pixel slot read and write goes through flat indices (slot * n +
+pixel) into raveled views of the weights, the variances and each mean
+plane, one plane at a time, and only for the pixels concerned: pixels
+matched at a later slot gather, blend and scatter their matched slot;
+unmatched pixels fill a fresh one and renormalize. Both blends run one
+helper in the same operation order, so the state does not depend on the
+chunk size. The in-place blend costs the same whether a pixel matched
+or not, so a frame where most pixels miss slot 0 pays for blending them
+all; no benchmark frame is like that.
 
 The per-pixel rank order is restored by a network of adjacent
 compare-exchange steps that swap only on a strictly higher rank, which
@@ -80,18 +83,15 @@ import numpy as np
 
 from .gmm import BACKGROUND, FOREGROUND, GAUSS_NORM_3D, PDF_FAITHFUL, ModelParams
 
-# A chunk blends its slot-0 matches in place when at most this fraction of
-# its pixels missed slot 0, and leaves them to the gathered update otherwise.
-SPARSE_MISS_FRACTION = 0.2
-
 # Pixels per chunk of the slot-0 test and in-place blend, so that a chunk's
 # (3, chunk) temporaries (384 KiB each at 16384) stay in cache. n pixels
 # make max(1, round(n / BLEND_CHUNK)) chunks, as equal in size as possible.
-# observe(), mean of the per-frame best of 8-10 alternating passes over the
-# seed-1 frames (2-vCPU shared Xeon, 4 MiB L2 a core): vga640 read 14.3 ms
-# at 4096, 14.3-14.5 at 8192, 14.5-15.2 at 16384, 16.6 at 32768, 16.8 at
-# 65536 and 17.9 as one chunk of 307200; busy160 (19200 pixels) read 1.58
-# ms as one chunk at 16384 and 1.60-1.63 ms as two at 8192 and 12288.
+# observe(), mean over the seed-1 frames of each frame's best of 8 passes,
+# one model per size stepped side by side in rotating order (2-vCPU shared
+# Xeon), in two repetitions: vga640 read 12.2-12.3 ms at 4096, 11.5-11.6
+# at 8192, 11.8-12.7 at 16384, 13.4-13.8 at 32768 and 17.2-18.3 as one
+# chunk of 307200; busy160 (19200 pixels, 10 passes) read 1.39 ms at 4096
+# and 8192 and 1.40-1.41 as one chunk, which 16384 and 32768 also make.
 BLEND_CHUNK = 16384
 
 # The rank sort and the background prefix run over the gathered pixels that
@@ -169,15 +169,13 @@ class FrameModel:
         var_flat = var.reshape(-1)
 
         # Slot 0 is live for every started pixel: test it chunk by chunk, and
-        # blend a chunk's slot-0 matches in place at once when few of its
-        # pixels missed (module docstring). Means and variances do not
-        # depend on the weights, so this runs before the slot choice reuses
-        # the block; the reward waits for the decay.
+        # blend each chunk's slot-0 matches in place at once (module
+        # docstring). Means and variances do not depend on the weights, so
+        # this runs before the slot choice reuses the block; the reward
+        # waits for the decay.
         limit = p.d * p.d
         pdf_mode = p.rho_mode == PDF_FAITHFUL
         hit0, unmatched = s.hit0, s.m0
-        n_miss = 0
-        blended = []
         n_chunks = max(1, round(n / BLEND_CHUNK))
         for i in range(n_chunks):
             cut = slice(i * n // n_chunks, (i + 1) * n // n_chunks)
@@ -186,10 +184,6 @@ class FrameModel:
             d2_c, hit_c = s.block[:c], hit0[cut]
             _sq_norm(np.subtract(z_c, mu_c, out=s.rows[0, :, :c]), d2_c)
             np.less(d2_c, np.multiply(limit, var_c, out=s.f0[:c]), out=hit_c)
-            miss = np.count_nonzero(np.logical_not(hit_c, out=unmatched[cut]))
-            n_miss += miss
-            if miss > SPARSE_MISS_FRACTION * c:
-                continue
             rho = s.f1[:c]
             if pdf_mode:
                 _pdf_rho(var_c, d2_c, p.alpha, rho, s.f2[:c])
@@ -198,8 +192,10 @@ class FrameModel:
                 np.multiply(hit_c, p.alpha, out=rho)
             keep = np.subtract(1.0, rho, out=s.f2[:c])
             _blend(mu_c, var_c, z_c, rho, keep, s.rows[0, :, :c], s.rows[1, :, :c], s.f3[:c])
-            np.maximum(var_c, p.var_min, out=var_c, where=hit_c)
-            blended.append(cut)
+            # The floor is var_min at a match and 0.0 at a miss, where the
+            # max keeps the variance, since variances are always positive.
+            np.maximum(var_c, np.multiply(hit_c, p.var_min, out=s.f3[:c]), out=var_c)
+        n_miss = np.count_nonzero(np.logical_not(hit0, out=unmatched))
 
         # jm is the first matching slot (unused where nothing matched). It
         # becomes the returned pos. Slot j is tested only for pixels that
@@ -229,12 +225,9 @@ class FrameModel:
             jm[found] = j
             held, spare = spare, held
             rest = np.compress(np.logical_not(hit, out=hit), rest, out=held[: r - n_hit])
-        # The gathered update takes every match except the slot-0 matches
-        # of the chunks blended in place. hit0 lies inside the matches, so
-        # xor drops exactly those.
-        gathered = np.logical_not(unmatched, out=s.m1)
-        for cut in blended:
-            np.logical_xor(gathered[cut], hit0[cut], out=gathered[cut])
+        # The gathered update takes the matches at slot 1 and later. unmatched
+        # and hit0 never overlap, so they are equal (both False) just there.
+        gathered = np.equal(unmatched, hit0, out=s.m1)
         n_u = np.count_nonzero(unmatched)
         m = np.count_nonzero(gathered)
         im = np.compress(gathered, s.index, out=s.i0[:m])
@@ -266,10 +259,11 @@ class FrameModel:
         jm[iu] = jt
 
         # Every pixel decays all its live weights. Dead slots stay 0.0, and
-        # an unmatched pixel's replaced slot is overwritten below.
+        # an unmatched pixel's replaced slot is overwritten below. Then
+        # slot-0 matches gain alpha at slot 0 and other pixels 0.0, which
+        # leaves a weight as it is, since no weight is ever -0.0.
         w *= 1.0 - p.alpha
-        for cut in blended:
-            np.add(w[0, cut], p.alpha, out=w[0, cut], where=hit0[cut])
+        w[0] += np.multiply(hit0, p.alpha, out=s.f0)
 
         # Gathered matched pixels: reward the match, pull its mean and
         # variance to z.

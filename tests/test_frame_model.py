@@ -11,8 +11,13 @@ from oracles import oracle_init, oracle_step
 from pixel_states import load_states, oracle_params_of
 
 import bgsub.frame_model
-from bgsub.frame_model import MULTI_SLOT_FRACTION, SPARSE_MISS_FRACTION, FrameModel, _Scratch
+from bgsub.frame_model import MULTI_SLOT_FRACTION, FrameModel, _Scratch
 from bgsub.gmm import BACKGROUND, FIXED_ALPHA, FOREGROUND, PDF_FAITHFUL, ModelParams
+
+# A frame, or a chunk of one, is sparse when at most this fraction of its
+# pixels miss slot 0, and crowded otherwise. observe() blends slot 0 in
+# place on both; the streams below are described by it.
+SPARSE = 0.2
 
 
 def _frame_stream(rng, n_pixels, n_frames):
@@ -122,6 +127,10 @@ def _check_against_oracle(p, frames, exact):
     for f_idx, z in enumerate(frames[1:], 1):
         first.append(_first_match(fm, z))
         states, _ = _step_both(fm, states, z, op, exact, f_idx)
+        # The unmasked variance floor and slot-0 reward keep a miss's state
+        # only while variances are positive and no weight is -0.0.
+        assert np.all(fm.variances > 0.0), f"frame {f_idx}"
+        assert not np.any(np.signbit(fm.weights)), f"frame {f_idx}"
     return np.array(first)
 
 
@@ -163,9 +172,9 @@ def test_equivalence_mostly_static_stream(k, rho_mode):
     p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
     frames = _static_stream(np.random.default_rng(31), 200, 60)
     first = _check_against_oracle(p, frames, exact=rho_mode == FIXED_ALPHA)
-    # Every frame blends slot 0 in place, and each later slot that the
-    # three modes can fill does match.
-    assert np.all((first != 0).mean(axis=1) <= SPARSE_MISS_FRACTION)
+    # Every frame is sparse, and each later slot that the three modes can
+    # fill does match.
+    assert np.all((first != 0).mean(axis=1) <= SPARSE)
     assert np.unique(first[first > 0]).tolist() == list(range(1, min(k, 3)))
 
 
@@ -176,9 +185,9 @@ def test_equivalence_switching_sparse_and_crowded(k, rho_mode):
     crowded = {5, 6, 17, 30, 31, 32, 45}
     frames = _static_stream(np.random.default_rng(32), 200, 60, crowded)
     first = _check_against_oracle(p, frames, exact=rho_mode == FIXED_ALPHA)
-    sparse = (first != 0).mean(axis=1) <= SPARSE_MISS_FRACTION
-    # The one chunk's slot-0 update changes often, both ways: in place on
-    # sparse frames, gathered on crowded ones.
+    sparse = (first != 0).mean(axis=1) <= SPARSE
+    # The one chunk switches often, both ways, between sparse and crowded,
+    # and blends slot 0 in place on either.
     assert np.count_nonzero(np.diff(sparse.astype(int))) >= 6
     assert not any(sparse[f - 1] for f in crowded)
     if k > 2:
@@ -191,10 +200,9 @@ def test_equivalence_switching_sparse_and_crowded(k, rho_mode):
 def _chunk_paths(monkeypatch, p, frames):
     """Run FrameModel over frames; for each frame after the seed, return
     the starts of the chunks that observe() blended in place, the starts
-    of the chunks where at most SPARSE_MISS_FRACTION of the pixels missed
-    slot 0, whether at most SPARSE_MISS_FRACTION of the frame's pixels did,
-    the share of pixels with two or more live slots after the frame, and
-    how many pixels the background prefix covered."""
+    of the sparse chunks, whether the frame is sparse, the share of pixels
+    with two or more live slots after the frame, and how many pixels the
+    background prefix covered."""
     n = len(frames[0])
     fm = FrameModel(p, n)
     fm.observe(frames[0])
@@ -221,28 +229,27 @@ def _chunk_paths(monkeypatch, p, frames):
         starts.clear()
         widths.clear()
         miss = _first_match(fm, z) != 0
-        few = [a for a, b in zip(bounds, bounds[1:]) if miss[a:b].mean() <= SPARSE_MISS_FRACTION]
+        few = [a for a, b in zip(bounds, bounds[1:]) if miss[a:b].mean() <= SPARSE]
         fm.observe(z)
         share = np.count_nonzero(fm.live_count > 1) / n
-        runs.append((list(starts), few, miss.mean() <= SPARSE_MISS_FRACTION, share, widths[0]))
+        runs.append((list(starts), few, miss.mean() <= SPARSE, share, widths[0]))
     return runs
 
 
 @pytest.mark.parametrize("rho_mode", [FIXED_ALPHA, PDF_FAITHFUL])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_equivalence_chunks_in_place_and_gathered(monkeypatch, k, rho_mode):
-    # 37 does not divide 200: five chunks of 40. Within one frame, the
-    # chunks where few pixels missed slot 0 blend it in place and the
-    # others leave it to the gathered update, on frames where few and
-    # where many of all pixels missed it, while the share of pixels with
-    # two or more live slots rises through MULTI_SLOT_FRACTION.
+    # 37 does not divide 200: five chunks of 40. Every chunk blends slot 0
+    # in place on every frame, sparse and crowded chunks side by side, on
+    # sparse and on crowded frames, while the share of pixels with two or
+    # more live slots rises through MULTI_SLOT_FRACTION.
     monkeypatch.setattr(bgsub.frame_model, "BLEND_CHUNK", 37)
     p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
     frames = _patchy_stream(np.random.default_rng(51), 200, 60)
     _check_against_oracle(p, frames, exact=rho_mode == FIXED_ALPHA)
     runs = _chunk_paths(monkeypatch, p, frames)
-    assert all(starts == few for starts, few, _, _, _ in runs)
-    mixed = [sparse for starts, _, sparse, _, _ in runs if 0 < len(starts) < 5]
+    assert all(starts == [0, 40, 80, 120, 160] for starts, _, _, _, _ in runs)
+    mixed = [sparse for _, few, sparse, _, _ in runs if 0 < len(few) < 5]
     assert mixed.count(True) >= 20 and mixed.count(False) >= 5
     # The prefix covers just the multi-slot pixels while they are few
     # enough, and every pixel after that.
@@ -257,21 +264,20 @@ def test_equivalence_chunks_in_place_and_gathered(monkeypatch, k, rho_mode):
 @pytest.mark.parametrize("rho_mode", [FIXED_ALPHA, PDF_FAITHFUL])
 @pytest.mark.parametrize("k", [1, 3])
 def test_path_choice_keeps_state(monkeypatch, k, rho_mode):
-    # Which chunks blend slot 0 in place, their size and which pixels the
-    # sort and prefix cover are choices of speed alone:
-    # forcing each either way must give the same run, bit for bit. Up to
-    # frame 15 at most half the pixels have two or more live slots, so
-    # MULTI_SLOT_FRACTION = 0.5 sorts only those on every frame, and -1.0
-    # every pixel. Nor may the run depend on the layout of z: C-contiguous
-    # rows and band views of channel planes must give the same run.
+    # The chunk size and which pixels the sort and prefix cover are choices
+    # of speed alone: forcing each either way must give the same run, bit
+    # for bit. Up to frame 15 at most half the pixels have two or more
+    # live slots, so MULTI_SLOT_FRACTION = 0.5 sorts only those on every
+    # frame, and -1.0 every pixel. Nor may the run depend on the layout of
+    # z: C-contiguous rows and band views of channel planes must give the
+    # same run.
     p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
     frames = _patchy_stream(np.random.default_rng(51), 200, 16)
     want = _run_alone(p, frames)
     live_count = want[1][3]
     assert np.count_nonzero(live_count > 1) <= len(live_count) / 2
     forms = (frames, _band_views(frames))
-    for miss, chunk, multi, form in itertools.product((0.0, 1.0), (1, 200), (-1.0, 0.5), forms):
-        monkeypatch.setattr(bgsub.frame_model, "SPARSE_MISS_FRACTION", miss)
+    for chunk, multi, form in itertools.product((1, 200), (-1.0, 0.5), forms):
         monkeypatch.setattr(bgsub.frame_model, "BLEND_CHUNK", chunk)
         monkeypatch.setattr(bgsub.frame_model, "MULTI_SLOT_FRACTION", multi)
         fm = FrameModel(p, len(frames[0]))
@@ -293,31 +299,34 @@ def test_variance_floor_spares_unmatched_slot_0(k, rho_mode):
     # var_init below var_min: slot 0 is fresh (var_init) after the seeding
     # frame and after a replacement at k = 1, so pixels that miss it keep
     # a slot-0 variance under the floor that must not be raised, while
-    # their neighbours that match slot 0 are floored in place. On frame 1,
-    # 12% of the pixels jump far from their seed value.
+    # their neighbours that match slot 0 are floored in place. In the
+    # sparse stream, 12% of the pixels jump far from their seed value on
+    # frame 1; the crowded stream has frames where most pixels miss.
     p = ModelParams(k=k, alpha=0.03, var_init=100.0, var_min=150.0, rho_mode=rho_mode)
     rng = np.random.default_rng(33)
     frames = _static_stream(rng, 200, 40)
     jump = rng.random(200) < 0.12
     z = frames[1][jump]
     frames[1][jump] = np.where(z < 128.0, z + 80.0, z - 80.0)
-    first = _check_against_oracle(p, frames, exact=rho_mode == FIXED_ALPHA)
-    assert np.all((first != 0).mean(axis=1) <= SPARSE_MISS_FRACTION)
-    fm = FrameModel(p, len(frames[0]))
-    fm.observe(frames[0])
-    low_misses = 0
-    for z in frames[1:]:
-        low_misses += np.count_nonzero((_first_match(fm, z) != 0) & (fm.variances[0] < p.var_min))
-        fm.observe(z)
-    assert low_misses >= 20
-    if k > 1:
-        assert np.count_nonzero(first > 0) >= 20
+    crowded = _static_stream(rng, 200, 40, crowded={1, 2, 9, 21, 22})
+    for stream, sparse in ((frames, True), (crowded, False)):
+        first = _check_against_oracle(p, stream, exact=rho_mode == FIXED_ALPHA)
+        assert np.all((first != 0).mean(axis=1) <= SPARSE) == sparse
+        fm = FrameModel(p, len(stream[0]))
+        fm.observe(stream[0])
+        low_misses = 0
+        for z in stream[1:]:
+            low_misses += np.count_nonzero((_first_match(fm, z) != 0) & (fm.variances[0] < p.var_min))
+            fm.observe(z)
+        assert low_misses >= (20 if sparse else 100)
+        if k > 1:
+            assert np.count_nonzero(first > 0) >= 20
 
 
 @pytest.mark.parametrize("crowded", [False, True])
 def test_samples_are_only_read(crowded):
-    # observe() may not write into z, whether slot 0 is blended in place
-    # or gathered: a read-only z must give the same run as a writable one.
+    # observe() may not write into z, on sparse frames or on crowded ones:
+    # a read-only z must give the same run as a writable one.
     rng = np.random.default_rng(44)
     n = 300
     frames = _frame_stream(rng, n, 8) if crowded else _static_stream(rng, n, 8)
@@ -329,7 +338,7 @@ def test_samples_are_only_read(crowded):
         for f_idx, z in enumerate(frames):
             if f_idx == 3:
                 misses = (_first_match(fm, z) != 0).mean()
-                assert (misses > SPARSE_MISS_FRACTION) == crowded
+                assert (misses > SPARSE) == crowded
             z = z.copy()
             z.flags.writeable = False
             outs.append(fm.observe(z))
@@ -341,7 +350,7 @@ def test_dead_slot_is_never_matched(n_still):
     # Slot 1 is dead: mean 0 and variance var_init = 225, so (5, 5, 5) lies
     # well inside its match radius. The pixel must open a new component
     # there instead. With 19 still pixels beside it only 1 in 20 misses
-    # slot 0 (blended in place); alone, it is all of them.
+    # slot 0; alone, it is all of them.
     p = ModelParams(k=3)
     still = np.full((n_still, 3), 100.0)
     fm = FrameModel(p, n_still + 1)
@@ -497,8 +506,7 @@ def _state(fm):
 @pytest.mark.parametrize("crowded", [False, True])
 def test_results_stay_caller_owned(crowded):
     # observe() works in buffers it keeps between frames; what it returns
-    # must not be one of them. Static frames blend slot 0 in place,
-    # crowded ones gather every match.
+    # must not be one of them, on sparse frames or on crowded ones.
     rng = np.random.default_rng(41)
     n = 300
     frames = _frame_stream(rng, n, 8) if crowded else _static_stream(rng, n, 8)
@@ -506,7 +514,7 @@ def test_results_stay_caller_owned(crowded):
     for z in frames[:3]:
         fm.observe(z)
     misses = (_first_match(fm, frames[3]) != 0).mean()
-    assert (misses > SPARSE_MISS_FRACTION) == crowded
+    assert (misses > SPARSE) == crowded
     kept = fm.observe(frames[3])
     copies = [a.copy() for a in kept]
     later = [a for z in frames[4:6] for a in fm.observe(z)]

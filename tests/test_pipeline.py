@@ -21,7 +21,7 @@ from bgsub.errors import (
     UnsupportedMaxval,
 )
 from bgsub.events import EventParams, Zone
-from bgsub.frame_model import MULTI_SLOT_FRACTION, SPARSE_MISS_FRACTION
+from bgsub.frame_model import MULTI_SLOT_FRACTION
 from bgsub.gmm import BACKGROUND, FOREGROUND, ModelParams
 from bgsub.netpbm import decode_pgm, decode_ppm, encode_mask, encode_ppm, render_overlay
 from bgsub.pipeline import STAGE_NAMES, FramePipeline, run_pipeline
@@ -623,9 +623,8 @@ def _busy_scene():
     """A 160x120 room whose left 100 columns flicker between two grays on
     every frame, with a model fast enough (alpha 0.3) to have learned both
     by frame 10, and one actor. About 65% of the pixels then miss slot 0
-    on every frame, so the model gathers every match, yet they stay
-    background: foreground pixels would measure the shadow layer's own
-    per-pixel temporaries instead."""
+    on every frame, yet they stay background: foreground pixels would
+    measure the shadow layer's own per-pixel temporaries instead."""
     actor = Actor(size=(20, 20), color=(200, 40, 40), waypoints=(Waypoint(0, 100, 80), Waypoint(29, 130, 10)))
     flicker = Flicker(rect=(0, 0, 99, 119), colors=((120, 120, 120), (170, 170, 170)), period=1)
     spec = SceneSpec(width=160, height=120, frames=30, actors=(actor,), flickers=(flicker,))
@@ -645,9 +644,10 @@ def test_steady_state_frames_allocate_little(busy):
     # The model and the pipeline keep their per-frame work buffers, so a
     # steady-state frame allocates little beyond the arrays it hands back.
     # Fresh full-raster temporaries would show here: without kept buffers
-    # a steady frame peaks near 8.8 x 24 bytes a pixel. The standard scene
-    # blends slot 0 in place, and up to frame 93 sorts only the pixels
-    # with two or more live slots; the busy one gathers every match and
+    # a steady frame peaks near 8.8 x 24 bytes a pixel. Both scenes blend
+    # slot 0 in place: on the standard one at most a fifth of the pixels
+    # miss it, on the busy one more do. The standard scene sorts only the
+    # pixels with two or more live slots up to frame 93; the busy one
     # sorts every pixel.
     spec, config = _busy_scene() if busy else (standard_scene(), RunConfig())
     frames, _ = generate_scene(spec, seed=1)
@@ -658,7 +658,7 @@ def test_steady_state_frames_allocate_little(busy):
         for frame in frames[:10]:
             pipeline.process(frame)
         for i, frame in enumerate(frames[10:], 10):
-            assert (_slot0_miss_fraction(pipeline, frame) > SPARSE_MISS_FRACTION) == busy
+            assert (_slot0_miss_fraction(pipeline, frame) > 0.2) == busy
             tracemalloc.start()
             try:
                 pipeline.process(frame)

@@ -4,8 +4,8 @@ The reference scene scores F1 1.000 on both classes, so its floors cannot
 see a regression. Each scene here costs the pipeline some accuracy, and
 each floor sits just under the value measured under RunConfig() with
 seed 7 and 30 warm-up frames; a change that loses accuracy on that scene
-fails the gate. The last test gates the abandoned-object alarm under the
-default event settings.
+fails the gate. The last two tests gate events under the default event
+settings: the abandoned-object alarm, and two actors that cross and park.
 """
 
 from dataclasses import replace
@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from bgsub.config import RunConfig
-from bgsub.events import KIND_ABANDONED
+from bgsub.events import KIND_ABANDONED, KIND_MOTION_STARTED
 from bgsub.metrics import score
 from bgsub.pipeline import FramePipeline
 from bgsub.scenes import Actor, Flicker, GainRamp, SceneSpec, Waypoint, generate_scene, standard_scene
@@ -76,3 +76,48 @@ def test_default_config_raises_the_abandoned_alarm():
     finally:
         pipeline.close()
     assert [e.frame for e in events if e.kind == KIND_ABANDONED] == [70]
+
+
+def test_crossing_actors_keep_their_tracks():
+    # Two 16x16 actors enter at frame 30 from either side, on rows 20 apart,
+    # cross at frame 60 and park at the far side from frame 90. Each must
+    # keep its track through the crossing (at 0-8 rows apart the blobs
+    # merge for 7 frames and the identities swap, which the tracker's
+    # greedy association accepts) and alarm once, n_static frames after it
+    # parked. The parked blobs fade as the model absorbs them, which moves
+    # their centroids outward, to about x 153 and 6 by frame 119.
+    spec = SceneSpec(
+        width=160,
+        height=120,
+        frames=120,
+        actors=(
+            Actor(
+                size=(16, 16),
+                color=(180, 60, 60),
+                waypoints=(Waypoint(30, 4, 40), Waypoint(90, 140, 40)),
+                from_frame=30,
+            ),
+            Actor(
+                size=(16, 16),
+                color=(60, 60, 180),
+                waypoints=(Waypoint(30, 140, 60), Waypoint(90, 4, 60)),
+                from_frame=30,
+            ),
+        ),
+    )
+    frames, _ = generate_scene(spec, seed=7)
+    pipeline = FramePipeline(RunConfig(), spec.width, spec.height)
+    try:
+        events = [e for frame in frames for e in pipeline.process(frame).events]
+        ends = {t.id: t.centroid for t in pipeline.tracker.tracks}
+    finally:
+        pipeline.close()
+    assert [(e.frame, e.kind, e.track, e.bbox) for e in events] == [
+        (30, KIND_MOTION_STARTED, 1, (4, 40, 19, 55)),
+        (30, KIND_MOTION_STARTED, 2, (140, 60, 155, 75)),
+        (110, KIND_ABANDONED, 1, (140, 40, 155, 55)),
+        (110, KIND_ABANDONED, 2, (4, 60, 19, 75)),
+    ]
+    assert sorted(ends) == [1, 2]
+    assert ends[1][0] > 140 and abs(ends[1][1] - 47.5) < 1
+    assert ends[2][0] < 20 and abs(ends[2][1] - 67.5) < 1
