@@ -29,34 +29,38 @@ of about BLEND_CHUNK pixels. Slot j is then tested only for the pixels
 that missed slots 0..j-1 and have more than j live slots, on values
 gathered by index, however many pixels missed slot 0.
 
-State is updated in place. Each chunk blends its slot-0 matches directly
-on the dense slot-0 planes, in the pass that tested them, while they are
-in cache. It uses a per-pixel rho that is zero where slot 0 did not
-match: for finite samples, such as pixel values, mu * 1.0 + 0.0 * z and
-var * 1.0 + 0.0 leave those pixels exactly as they were. The variance
-floor and the weight reward are plain arithmetic as well, not masked
-ufuncs, which run about ten times slower on a noisy mask: a miss is
-floored at 0.0, which keeps its variance, since variances are always
-positive (even a fresh var_init below var_min), and is rewarded 0.0,
-which keeps its weight, since no weight is ever -0.0. Every other
-per-pixel slot read and write goes through flat indices (slot * n +
-pixel) into raveled views of the weights, the variances and each mean
-plane, one plane at a time, and only for the pixels concerned: pixels
-matched at a later slot gather, blend and scatter their matched slot;
-unmatched pixels fill a fresh one and renormalize. Both blends run one
-helper in the same operation order, so the state does not depend on the
-chunk size. The in-place blend costs the same whether a pixel matched
-or not, so a frame where most pixels miss slot 0 pays for blending them
-all; no benchmark frame is like that.
+State is updated in place. Each chunk updates its slot-0 matches
+directly on the dense slot-0 rows, in the pass that tested them, while
+they are in cache: the weight decays and gains alpha, and the mean and
+variance blend. It uses a per-pixel rho that is zero where slot 0 did
+not match: for finite samples, such as pixel values, w * 1.0 + 0.0,
+mu * 1.0 + 0.0 * z and var * 1.0 + 0.0 leave those pixels exactly as
+they were, since no weight is ever -0.0. So the slot choice of the
+unmatched pixels still reads their weights from before any decay; after
+it, the later slots decay densely, and slot 0 of the pixels that missed
+it decays by index. The variance floor is plain arithmetic as well, not
+a masked ufunc, which runs about ten times slower on a noisy mask: a
+miss is floored at 0.0, which keeps its variance, since variances are
+always positive (even a fresh var_init below var_min). Every other per-pixel slot read and write goes through flat indices
+(slot * n + pixel) into raveled views of the weights, the variances and
+each mean plane, one plane at a time, and only for the pixels
+concerned: pixels matched at a later slot gather, blend and scatter
+their matched slot; unmatched pixels fill a fresh one and renormalize.
+Both blends run one helper in the same operation order, so the state
+does not depend on the chunk size. The in-place update costs the same
+whether a pixel matched or not, so a frame where most pixels miss slot 0
+pays for updating them all; no benchmark frame is like that.
 
 The per-pixel rank order is restored by a network of adjacent
 compare-exchange steps that swap only on a strictly higher rank, which
 keeps ties in their slot order exactly as a stable sort does. A pixel
-with one live slot is never swapped and its background prefix is 1. So
-while at most MULTI_SLOT_FRACTION of the pixels have two or more live
-slots, as read off live_count each frame, the network and the prefix
-run only on those pixels, gathered by index, and every other pixel gets
-b = 1.
+with one live slot is never swapped, its background prefix is 1 and,
+since that slot is the one it matched, it is background. So while at
+most MULTI_SLOT_FRACTION of the pixels have two or more live slots, as
+read off live_count each frame, the network, the prefix and the labels
+run only on those pixels, gathered once by index (their weights are
+swapped alongside their ranks), and every other pixel gets b = 1 and
+the background label.
 
 Slots beyond a pixel's live count hold weight exactly 0.0 and never
 influence sums, matching or the background prefix.
@@ -169,10 +173,10 @@ class FrameModel:
         var_flat = var.reshape(-1)
 
         # Slot 0 is live for every started pixel: test it chunk by chunk, and
-        # blend each chunk's slot-0 matches in place at once (module
-        # docstring). Means and variances do not depend on the weights, so
-        # this runs before the slot choice reuses the block; the reward
-        # waits for the decay.
+        # update each chunk's slot-0 matches in place at once (module
+        # docstring): the weight gains alpha after its decay, and the mean
+        # and variance blend. A miss keeps all three here; the weights of
+        # the slot choice below must be those from before any decay.
         limit = p.d * p.d
         pdf_mode = p.rho_mode == PDF_FAITHFUL
         hit0, unmatched = s.hit0, s.m0
@@ -184,13 +188,17 @@ class FrameModel:
             d2_c, hit_c = s.block[:c], hit0[cut]
             _sq_norm(np.subtract(z_c, mu_c, out=s.rows[0, :, :c]), d2_c)
             np.less(d2_c, np.multiply(limit, var_c, out=s.f0[:c]), out=hit_c)
-            rho = s.f1[:c]
-            if pdf_mode:
-                _pdf_rho(var_c, d2_c, p.alpha, rho, s.f2[:c])
-                rho *= hit_c
-            else:
-                np.multiply(hit_c, p.alpha, out=rho)
+            # rho is alpha at a match and 0.0 at a miss, keep 1 - rho: the
+            # weight step of slot 0, and in fixed-alpha mode its blend too.
+            rho = np.multiply(hit_c, p.alpha, out=s.f1[:c])
             keep = np.subtract(1.0, rho, out=s.f2[:c])
+            w0_c = w[0, cut]
+            w0_c *= keep
+            w0_c += rho
+            if pdf_mode:
+                _pdf_rho(var_c, d2_c, p.alpha, rho, s.f0[:c])
+                rho *= hit_c
+                np.subtract(1.0, rho, out=keep)
             _blend(mu_c, var_c, z_c, rho, keep, s.rows[0, :, :c], s.rows[1, :, :c], s.f3[:c])
             # The floor is var_min at a match and 0.0 at a miss, where the
             # max keeps the variance, since variances are always positive.
@@ -259,11 +267,14 @@ class FrameModel:
         jm[iu] = jt
 
         # Every pixel decays all its live weights. Dead slots stay 0.0, and
-        # an unmatched pixel's replaced slot is overwritten below. Then
-        # slot-0 matches gain alpha at slot 0 and other pixels 0.0, which
-        # leaves a weight as it is, since no weight is ever -0.0.
-        w *= 1.0 - p.alpha
-        w[0] += np.multiply(hit0, p.alpha, out=s.f0)
+        # an unmatched pixel's replaced slot is overwritten below. Slot 0 of
+        # the slot-0 matches decayed in the chunk pass; that of the other
+        # pixels, im and iu, side by side in i0, decays here.
+        w[1:] *= 1.0 - p.alpha
+        missed = s.i0[: m + n_u]
+        w_missed = _take(w_flat, missed, s.f0)
+        w_missed *= 1.0 - p.alpha
+        w_flat[missed] = w_missed
 
         # Gathered matched pixels: reward the match, pull its mean and
         # variance to z.
@@ -310,7 +321,7 @@ class FrameModel:
         # follows the absorbing component through the swaps. While few
         # pixels have two or more live slots, only those are ranked (module
         # docstring): their ranks in block[:k * n_multi], their weights
-        # after them.
+        # after them, swapped alongside the ranks for the prefix.
         pos = jm
         multi = np.greater(count, 1, out=s.m1)
         n_multi = np.count_nonzero(multi)
@@ -319,7 +330,8 @@ class FrameModel:
             pix = np.compress(multi, s.index, out=s.i3[:n_multi])
             rank = _take(var, pix, s.block, axis=1)
             np.sqrt(rank, out=rank)
-            np.divide(_take(w, pix, s.block[k * n_multi :], axis=1), rank, out=rank)
+            w_multi = _take(w, pix, s.block[k * n_multi :], axis=1)
+            np.divide(w_multi, rank, out=rank)
         else:
             rank = np.sqrt(var, out=s.block[: k * n].reshape(k, n))
             np.divide(w, rank, out=rank)
@@ -336,6 +348,7 @@ class FrameModel:
                 fb = np.add(sw, (a + 1) * size, out=s.i2[:n_sw])
                 _swap(rank_flat, fa, fb, s.f0, s.f1)
                 if multi_only:
+                    _swap(w_multi.reshape(-1), fa, fb, s.f0, s.f1)
                     # The rest swaps at the pixels' own flat indices.
                     sw = _take(pix, sw, s.i1)
                     fa = np.add(sw, a * n, out=s.i0[:n_sw])
@@ -352,17 +365,21 @@ class FrameModel:
 
         # Background prefix: the first slot whose running weight sum exceeds
         # t. The sum never falls, so that slot's index is the number of
-        # sums at or below t; the live count is the fallback.
+        # sums at or below t; the live count is the fallback. A pixel is
+        # foreground where its match sits at or after the prefix. One live
+        # slot means a match at slot 0 of a prefix of 1: background.
         if multi_only:
             b = np.ones(n, dtype=np.int64)
-            w_multi = _take(w, pix, s.block[k * n_multi :], axis=1)
-            b[pix] = _prefix(w_multi, p.t, _take(count, pix, s.i0), s.i1[:n_multi], s.f0, s.m1)
+            b_multi = _prefix(w_multi, p.t, _take(count, pix, s.i0), s.i1[:n_multi], s.f0, s.m1)
+            b[pix] = b_multi
+            fg = np.greater_equal(_take(pos, pix, s.i0), b_multi, out=s.m1[:n_multi])
+            labels = np.full(n, BACKGROUND, dtype=np.uint8)
+            labels[np.compress(fg, pix, out=s.i2[: np.count_nonzero(fg)])] = FOREGROUND
         else:
             b = _prefix(w, p.t, count, np.empty(n, dtype=np.int64), s.f0, s.m1)
-
-        labels = np.where(
-            np.less(pos, b, out=s.m1), np.uint8(BACKGROUND), np.uint8(FOREGROUND)
-        )
+            labels = np.where(
+                np.less(pos, b, out=s.m1), np.uint8(BACKGROUND), np.uint8(FOREGROUND)
+            )
         return labels, pos, b
 
 
@@ -372,7 +389,8 @@ class _Scratch:
     share a buffer, so the set is smaller than the temporaries a frame
     allocated without it: at k = 3, 148 bytes a pixel (index 8, block 24,
     the two (3, n) rows 48, float 32, index 32, mask 3, hit0 1). hit0
-    holds the slot-0 matches from the match test to the weight reward."""
+    holds the slot-0 matches from the chunk pass, which also applies
+    their weight step, to the selection of the later-slot matches."""
 
     def __init__(self, k: int, n: int):
         self.index = np.arange(n)

@@ -3,6 +3,12 @@
 Only 8-bit images (maxval 255) are supported. Headers may contain
 comments; the payload starts after exactly one whitespace byte following
 the maxval token.
+
+The encoders and the overlay run once a frame on the writer thread, which
+shares the box's cores with the main loop, so they make as few whole-frame
+passes as they can: an encoder joins the header and the pixel buffer into
+its bytes with one copy, and the overlay copies the frame once and then
+paints, by index, only its foreground and shadow pixels.
 """
 
 from __future__ import annotations
@@ -89,19 +95,21 @@ def decode_frame(data: bytes, width: int | None = None, height: int | None = Non
 
 
 def encode_ppm(image: np.ndarray) -> bytes:
-    """(h, w, 3) uint8 array to binary PPM bytes."""
+    """(h, w, 3) uint8 array to binary PPM bytes, copying the pixels once
+    (twice if image is not C-contiguous)."""
     if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
         raise ValueError(f"expected (h, w, 3) uint8 image, got {image.shape} {image.dtype}")
     h, w = image.shape[:2]
-    return b"P6\n%d %d\n255\n" % (w, h) + np.ascontiguousarray(image).tobytes()
+    return b"".join((b"P6\n%d %d\n255\n" % (w, h), np.ascontiguousarray(image)))
 
 
 def encode_pgm(image: np.ndarray) -> bytes:
-    """(h, w) uint8 array to binary PGM bytes."""
+    """(h, w) uint8 array to binary PGM bytes, copying the pixels once
+    (twice if image is not C-contiguous)."""
     if image.ndim != 2 or image.dtype != np.uint8:
         raise ValueError(f"expected (h, w) uint8 image, got {image.shape} {image.dtype}")
     h, w = image.shape
-    return b"P5\n%d %d\n255\n" % (w, h) + np.ascontiguousarray(image).tobytes()
+    return b"".join((b"P5\n%d %d\n255\n" % (w, h), np.ascontiguousarray(image)))
 
 
 def encode_mask(classes: np.ndarray) -> bytes:
@@ -110,10 +118,15 @@ def encode_mask(classes: np.ndarray) -> bytes:
 
 
 def render_overlay(frame: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """Paint foreground pixels red and shadow pixels green over the frame."""
+    """A C-contiguous copy of the frame with foreground pixels painted red
+    and shadow pixels green; pixels of any other class keep their colour.
+    Each class is painted by index, through the flat positions of its
+    pixels, so a frame with little foreground costs about one copy and two
+    compares."""
     if frame.shape[:2] != classes.shape:
         raise DimensionMismatch(f"frame {frame.shape[:2]} vs classes {classes.shape}")
     out = frame.copy()
-    out[classes == FOREGROUND] = OVERLAY_FOREGROUND
-    out[classes == SHADOW] = OVERLAY_SHADOW
+    pixels = out.reshape(classes.size, -1)
+    pixels[np.flatnonzero(classes == FOREGROUND)] = OVERLAY_FOREGROUND
+    pixels[np.flatnonzero(classes == SHADOW)] = OVERLAY_SHADOW
     return out

@@ -126,11 +126,16 @@ def _check_against_oracle(p, frames, exact):
     first = []
     for f_idx, z in enumerate(frames[1:], 1):
         first.append(_first_match(fm, z))
-        states, _ = _step_both(fm, states, z, op, exact, f_idx)
-        # The unmasked variance floor and slot-0 reward keep a miss's state
-        # only while variances are positive and no weight is -0.0.
+        states, (labels, pos, b) = _step_both(fm, states, z, op, exact, f_idx)
+        # The unmasked variance floor and slot-0 weight step keep a miss's
+        # state only while variances are positive and no weight is -0.0.
         assert np.all(fm.variances > 0.0), f"frame {f_idx}"
         assert not np.any(np.signbit(fm.weights)), f"frame {f_idx}"
+        # observe() labels only the multi-slot pixels of a sparse frame: a
+        # pixel left with one live slot matched slot 0, the whole prefix.
+        one = fm.live_count == 1
+        assert np.all(labels[one] == BACKGROUND), f"frame {f_idx}"
+        assert np.all(pos[one] == 0) and np.all(b[one] == 1), f"frame {f_idx}"
     return np.array(first)
 
 
@@ -138,7 +143,7 @@ def _step_both(fm, states, z, op, exact, f_idx):
     """One observe() of fm and one oracle_step per pixel state. Outputs and
     live counts must agree exactly, and so must the state when exact, else
     to rtol 1e-12; dead slots must keep weight 0.0. Returns the oracle's
-    new states and the pos that observe() returned."""
+    new states and what observe() returned: labels, pos and b."""
     labels, pos, b = fm.observe(z)
     steps = [oracle_step(states[j], z[j].tolist(), op) for j in range(len(states))]
     states = [step[0] for step in steps]
@@ -157,7 +162,7 @@ def _step_both(fm, states, z, op, exact, f_idx):
             assert np.array_equal(got, expect[in_use]), f"frame {f_idx}"
         else:
             np.testing.assert_allclose(got, expect[in_use], rtol=1e-12)
-    return states, pos
+    return states, (labels, pos, b)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -411,6 +416,32 @@ def test_equal_ranks_keep_slot_order():
     assert sorted(tuple(m) for m in fm.means[:, 3]) == [(0.0,) * 3, (50.0,) * 3, far]
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_multi_slot_sort_carries_weights_to_prefix(k):
+    # A third of the pixels have two live slots, so observe() ranks and
+    # sums the prefix over those alone. Pixels 0 and 2 match slot 1, which
+    # then outweighs slot 0 and swaps ahead of it: their prefix must sum
+    # the sorted weights, 0.532 > t at once, not the order before the sort
+    # (0.468 <= t). Pixel 1 matches slot 1 behind a heavy slot 0 and is
+    # foreground.
+    p = ModelParams(k=k, alpha=0.1, t=0.5, rho_mode=FIXED_ALPHA)
+    op = oracle_params_of(p)
+
+    def comps(*specs):
+        return [{"w": w, "m": [m] * 3, "v": 36.0} for w, m in specs]
+
+    pair, heavy = ((0.52, 50.0), (0.48, 100.0)), ((0.8, 50.0), (0.2, 100.0))
+    states = [comps(*specs) for specs in [pair, heavy, pair] + [((1.0, 100.0),)] * 6]
+    fm = FrameModel(p, len(states))
+    load_states(fm, states)
+    z = np.full((len(states), 3), 100.0)
+    _, (labels, pos, b) = _step_both(fm, states, z, op, True, 1)
+    assert np.count_nonzero(fm.live_count > 1) <= MULTI_SLOT_FRACTION * len(states)
+    assert pos.tolist() == [0, 1, 0] + [0] * 6
+    assert b.tolist() == [1] * 9
+    assert labels.tolist() == [BACKGROUND, FOREGROUND] + [BACKGROUND] * 7
+
+
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_loaded_states_after_work_buffers_exist(k):
     # live_count is public, and load_states writes it. A model that has
@@ -438,7 +469,7 @@ def test_loaded_states_after_work_buffers_exist(k):
         pick = rng.integers(0, 6, n)
         z = np.where(pick[:, None] < 5, 40.0 * pick[:, None] + 20.0, 250.0)
         z = z + rng.normal(0.0, 2.0, (n, 3))
-        states, pos = _step_both(fm, states, z, op, True, f_idx)
+        states, (_, pos, _) = _step_both(fm, states, z, op, True, f_idx)
         deep += np.count_nonzero(pos > 0)
     assert deep >= 10
 

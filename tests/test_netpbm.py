@@ -1,5 +1,7 @@
 """Image codec round-trips and malformed-input handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,92 @@ def test_render_overlay_colors():
 def test_render_overlay_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         render_overlay(np.zeros((2, 2, 3), dtype=np.uint8), np.zeros((2, 3), dtype=np.uint8))
+
+
+def _whole_raster_paint(frame, classes):
+    """The overlay painted through one boolean mask a class."""
+    out = frame.copy()
+    out[classes == FOREGROUND] = OVERLAY_FOREGROUND
+    out[classes == SHADOW] = OVERLAY_SHADOW
+    return out
+
+
+def _overlay_cases():
+    rng = np.random.default_rng(7)
+    for h, w in ((1, 1), (1, 17), (13, 1), (31, 47)):
+        frame = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+        for shares in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (8, 1, 1), (1, 1, 1)):
+            probs = np.array(shares, dtype=float) / sum(shares)
+            classes = rng.choice([BACKGROUND, FOREGROUND, SHADOW], (h, w), p=probs)
+            yield frame, classes.astype(np.uint8)
+    # Non-contiguous views of both the frame and the classes.
+    frame = rng.integers(0, 256, (40, 60, 3), dtype=np.uint8)
+    classes = rng.choice([BACKGROUND, FOREGROUND, SHADOW], (60, 40)).astype(np.uint8)
+    yield frame[::2, ::-3], classes.T[::2, ::-3]
+    yield np.asfortranarray(frame), classes.T.copy()
+    yield frame.transpose(1, 0, 2)[:, 5:35], classes[:, 5:35]
+
+
+def test_render_overlay_matches_whole_raster_paint():
+    for frame, classes in _overlay_cases():
+        before = frame.copy()
+        frame.flags.writeable = False
+        out = render_overlay(frame, classes)
+        assert out.flags.c_contiguous and out.dtype == np.uint8
+        assert np.array_equal(out, _whole_raster_paint(frame, classes))
+        assert np.array_equal(frame, before)
+
+
+def test_render_overlay_passes_other_classes_through():
+    # Only 255 and 128 are painted; any other nonzero class keeps the
+    # frame's colour, as the whole-raster paint does.
+    rng = np.random.default_rng(8)
+    frame = rng.integers(0, 256, (9, 11, 3), dtype=np.uint8)
+    others = [1, 2, 64, 127, 129, 200, 254]
+    classes = rng.choice(others + [BACKGROUND, FOREGROUND, SHADOW], (9, 11)).astype(np.uint8)
+    out = render_overlay(frame, classes)
+    assert np.array_equal(out, _whole_raster_paint(frame, classes))
+    kept = np.isin(classes, others + [BACKGROUND])
+    assert np.count_nonzero(np.isin(classes, others)) >= 30
+    assert np.array_equal(out[kept], frame[kept])
+
+
+def test_encoders_return_header_and_pixels():
+    rng = np.random.default_rng(9)
+    rgb = rng.integers(0, 256, (6, 10, 3), dtype=np.uint8)
+    gray = rng.integers(0, 256, (6, 10), dtype=np.uint8)
+    for encode, magic, image in ((encode_ppm, b"P6", rgb), (encode_pgm, b"P5", gray)):
+        for form in (image, np.asfortranarray(image), image[1:5, ::-3], image.swapaxes(0, 1)):
+            data = encode(form)
+            assert type(data) is bytes
+            h, w = form.shape[:2]
+            assert data == b"%s\n%d %d\n255\n" % (magic, w, h) + form.tobytes()
+
+
+def _peak_per_pixel(n, fn, *args):
+    """fn(*args)'s traced peak allocation over n pixels."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / n
+    finally:
+        tracemalloc.stop()
+
+
+def test_emit_copies_each_raster_once():
+    # One copy of the pixels for each encoder, and for the overlay one copy
+    # of the frame plus one class mask at a time and its painted indices;
+    # joining a header to tobytes() copies the pixels twice, and painting
+    # through boolean masks holds more.
+    rng = np.random.default_rng(10)
+    h, w = 480, 640
+    n = h * w
+    frame = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+    classes = np.zeros((h, w), dtype=np.uint8)
+    painted = rng.choice(n, 11_700, replace=False)
+    classes.reshape(-1)[painted[:8_000]] = FOREGROUND
+    classes.reshape(-1)[painted[8_000:]] = SHADOW
+    assert _peak_per_pixel(n, encode_ppm, frame) <= 3.01
+    assert _peak_per_pixel(n, encode_mask, classes) <= 1.01
+    overlay_bound = 3 + 1 + 8 * 8_000 / n + 0.01
+    assert _peak_per_pixel(n, render_overlay, frame, classes) <= overlay_bound
