@@ -18,10 +18,10 @@ round as the loop's do.
 
 The means are stored as channel planes, one (3, k, n) array, so that
 every step on them runs long unit-stride loops: each channel of each slot
-is one contiguous row of n values. observe() reads the samples the same
-way, through z.T; FramePipeline hands each band its samples as the
-transposed view of (3, n) planes, which makes those rows contiguous too.
-Any (n, 3) layout gives the same state, only more slowly.
+is one contiguous row of n values. observe() first copies the samples
+into (3, n) float64 planes of its own, so z may come in any (n, 3)
+layout and in any dtype that converts to float64 exactly, such as a band
+of a uint8 frame's rows, and gives the same state.
 
 The match test costs in proportion to the slots that can still match.
 Slot 0 is live for every started pixel and is tested densely, in chunks
@@ -66,17 +66,18 @@ Slots beyond a pixel's live count hold weight exactly 0.0 and never
 influence sums, matching or the background prefix.
 
 Each FrameModel owns the work buffers of its observe() calls: a float
-block, two (3, n) plane buffers, and n-sized float, index and mask
-buffers, allocated on the first observe() after the seeding one and
-reused for every frame after that, through out= arguments and [:m]
-views; the chunked slot-0 pass reuses their leading BLEND_CHUNK columns
-and writes nothing into z. The reason is memory, not arithmetic: fresh
-temporaries for every frame (about 8.8 times 24 bytes a pixel) would be
-handed back to the system by the C allocator between frames, and every
-frame would fault in fresh zeroed pages again (about 7,400 minor faults
-a frame at 640x480). The buffers are per model, never shared, since band models
-run on threads at once. Construction and the seeding frame do not touch
-them. The arrays observe() returns are fresh and belong to the caller.
+block, the sample planes, two (3, n) plane buffers, and n-sized float,
+index and mask buffers, allocated on the first observe() after the
+seeding one and reused for every frame after that, through out=
+arguments and [:m] views; the chunked slot-0 pass reuses their leading
+BLEND_CHUNK columns and writes nothing into the sample planes. The
+reason is memory, not arithmetic: fresh temporaries for every frame
+(about 8.8 times 24 bytes a pixel) would be handed back to the system by
+the C allocator between frames, and every frame would fault in fresh
+zeroed pages again (about 7,400 minor faults a frame at 640x480). The
+buffers are per model, never shared, since band models run on threads at
+once. Construction and the seeding frame do not touch them. The arrays
+observe() returns are fresh and belong to the caller.
 """
 
 from __future__ import annotations
@@ -139,8 +140,8 @@ class FrameModel:
     def observe(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance every pixel model by one frame.
 
-        z is (n, 3) float64 in any layout; the transposed view of (3, n)
-        channel planes reads fastest (module docstring). Returns (labels,
+        z is (n, 3) in any layout, float64 or a type that converts to it
+        exactly, such as uint8 (module docstring). Returns (labels,
         pos, b): uint8 labels (BACKGROUND/FOREGROUND), the post-sort slot
         that absorbed each pixel's value, and the per-pixel background
         prefix size. All three are new arrays; z is only read.
@@ -167,7 +168,8 @@ class FrameModel:
         # The samples and the means as channel planes: zt[c] is channel c
         # of every pixel, mu_flat[c] that channel of every slot. Flat views:
         # slot j of pixel i sits at j * n + i.
-        zt = z.T
+        zt = s.z
+        np.copyto(zt, z.T)
         mu_flat = self.mean_planes.reshape(3, -1)
         w_flat = w.reshape(-1)
         var_flat = var.reshape(-1)
@@ -221,8 +223,8 @@ class FrameModel:
             held, spare = spare, held
             rest = np.compress(live, rest, out=held[:r])
             f = np.add(rest, j * n, out=s.i2[:r])
-            dz = _take_planes(zt, rest, s.rows[0])
-            dz -= _take_planes(mu_flat, f, s.rows[1])
+            dz = _take(zt, rest, s.rows[0], axis=1)
+            dz -= _take(mu_flat, f, s.rows[1], axis=1)
             d2_j = s.f0[:r]
             _sq_norm(dz, d2_j)
             lim_j = _take(var_flat, f, s.f1)
@@ -278,11 +280,11 @@ class FrameModel:
 
         # Gathered matched pixels: reward the match, pull its mean and
         # variance to z.
-        z_m = _take_planes(zt, im, s.rows[0])
+        z_m = _take(zt, im, s.rows[0], axis=1)
         w_m = _take(w_flat, fm, s.f1)
         w_m += p.alpha
         w_flat[fm] = w_m
-        mu_j = _take_planes(mu_flat, fm, s.rows[1])
+        mu_j = _take(mu_flat, fm, s.rows[1], axis=1)
         var_j = _take(var_flat, fm, s.f1)
         if pdf_mode:
             d2_m = s.f0[:m]
@@ -303,7 +305,7 @@ class FrameModel:
         ft *= n
         ft += iu
         w_flat[ft] = p.w_init
-        _put_planes(mu_flat, ft, _take_planes(zt, iu, s.rows[0]))
+        _put_planes(mu_flat, ft, _take(zt, iu, s.rows[0], axis=1))
         var_flat[ft] = p.var_init
         w_u = _take(w, iu, s.block, axis=1)
         total = s.f0[:n_u]
@@ -387,10 +389,11 @@ class _Scratch:
     """Work buffers of one FrameModel's observe(), each sized for all n
     pixels; a step over m pixels uses [:m] views. Steps that do not overlap
     share a buffer, so the set is smaller than the temporaries a frame
-    allocated without it: at k = 3, 148 bytes a pixel (index 8, block 24,
-    the two (3, n) rows 48, float 32, index 32, mask 3, hit0 1). hit0
-    holds the slot-0 matches from the chunk pass, which also applies
-    their weight step, to the selection of the later-slot matches."""
+    allocated without it: at k = 3, 172 bytes a pixel (index 8, block 24,
+    the sample planes z 24, the two (3, n) rows 48, float 32, index 32,
+    mask 3, hit0 1). hit0 holds the slot-0 matches from the chunk pass,
+    which also applies their weight step, to the selection of the
+    later-slot matches."""
 
     def __init__(self, k: int, n: int):
         self.index = np.arange(n)
@@ -400,6 +403,7 @@ class _Scratch:
         # of every pixel, or (k, m) of the m <= n/2 multi-slot pixels followed
         # by their weights.
         self.block = np.empty(max(k, 3) * n)
+        self.z = np.empty((3, n))
         self.rows = np.empty((2, 3, n))
         self.f0, self.f1, self.f2, self.f3 = np.empty((4, n))
         self.i0, self.i1, self.i2, self.i3 = np.empty((4, n), dtype=np.int64)
@@ -417,16 +421,6 @@ def _take(a: np.ndarray, idx: np.ndarray, buf: np.ndarray, axis: int = 0) -> np.
     shape[axis] = idx.size
     out = buf.reshape(-1)[: math.prod(shape)].reshape(shape)
     return np.take(a, idx, axis=axis, out=out, mode="clip")
-
-
-def _take_planes(planes: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Gather idx from each plane of planes into buf[:, :idx.size], one 1-D
-    take a plane: np.take copies a non-contiguous input whole before it
-    gathers, and the planes of a band's samples are not one block."""
-    out = buf[:, : idx.size]
-    for plane, row in zip(planes, out):
-        np.take(plane, idx, out=row, mode="clip")
-    return out
 
 
 def _put_planes(planes: np.ndarray, idx: np.ndarray, v: np.ndarray) -> None:

@@ -20,14 +20,10 @@ failed write ends the run at that wait, queue_depth frames after its own.
 Any exit waits for the read in flight and the queued writes. Timing
 covers compute only, so neither knob affects results, only scheduling.
 
-Each FramePipeline owns one float64 copy of the frame as (3, h*w)
-channel planes, made at construction and refilled by every process()
-call; a band's samples are the (n, 3) transposed view of its columns,
-the layout its model keeps its means in. Each band model
-owns its own work buffers (see bgsub.frame_model). This keeps a steady
-frame from allocating full-raster temporaries: once freed, those go back
-to the system, and the next frame pays page faults to get them again.
-The arrays in a FrameResult are new for every frame.
+Each band model owns its own work buffers (see bgsub.frame_model). This
+keeps a steady frame from allocating full-raster temporaries: once freed,
+those go back to the system, and the next frame pays page faults to get
+them again. The arrays in a FrameResult are new for every frame.
 """
 
 from __future__ import annotations
@@ -83,14 +79,9 @@ class FramePipeline:
         self.config = config
         self.width = width
         self.height = height
-        bounds = np.linspace(0, height, min(config.workers, height) + 1).astype(int)
-        # The frame as float64 channel planes, refilled by every process()
-        # call; each band reads its own pixels of them as an (n, 3) view.
-        self._planes = np.empty((3, height * width))
-        self._band_z = [
-            self._planes[:, a * width : b * width].T for a, b in zip(bounds, bounds[1:])
-        ]
-        self.models = [FrameModel(config.model, len(z)) for z in self._band_z]
+        bounds = np.linspace(0, height, min(config.workers, height) + 1).astype(int) * width
+        self._bands = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self.models = [FrameModel(config.model, band.stop - band.start) for band in self._bands]
         self.tracker = EventTracker(config.events, config.zones)
         self._pool = ThreadPoolExecutor(len(self.models)) if len(self.models) > 1 else None
         self.frame_index = 0
@@ -120,11 +111,12 @@ class FramePipeline:
         if frame.dtype != np.uint8:
             raise ValueError(f"frame {self.frame_index}: dtype {frame.dtype}, expected uint8")
         cfg = self.config
-        np.copyto(self._planes, frame.reshape(-1, 3).T)
+        pixels = frame.reshape(-1, 3)
 
         t0 = time.perf_counter()
         band_map = map if self._pool is None else self._pool.map
-        refined, observed_at = zip(*band_map(self._band, self.models, self._band_z))
+        bands = (pixels[band] for band in self._bands)
+        refined, observed_at = zip(*band_map(self._band, self.models, bands))
         # The model stage ends when the last band has observed.
         t1 = max(observed_at)
         classes = np.concatenate(refined).reshape(self.height, self.width)

@@ -51,11 +51,12 @@ def refine_classes(
     """Second look at the foreground of a flat frame: a pixel that shadows
     any of its background colors becomes SHADOW.
 
-    labels is (n,) uint8, z is (n, 3) float64, means is (k, n, 3) in rank
-    order, b is (n,) background prefix sizes: only the first b[i] means of
-    pixel i count as background colors. Returns a new (n,) uint8 class
-    array with foreground pixels split into FOREGROUND and SHADOW; other
-    labels pass through, and labels itself is left as it is.
+    labels is (n,) uint8, z is (n, 3) float64 or uint8, means is
+    (k, n, 3) in rank order, b is (n,) background prefix sizes: only the
+    first b[i] means of pixel i count as background colors. Returns a new
+    (n,) uint8 class array with foreground pixels split into FOREGROUND
+    and SHADOW; other labels pass through, and labels itself is left as
+    it is.
 
     Against background color bg, the brightness distortion is
     bd = (z . bg) / |bg|^2 and the chromaticity distortion
@@ -66,9 +67,9 @@ def refine_classes(
     Slot k is tested only on the foreground pixels that have a k-th
     background color (k < b) and shadowed none of slots 0..k-1, so the
     index narrows slot by slot and the loop stops once it is empty. Each
-    channel is gathered on its own, from z.T and means[k].T, which are
-    contiguous planes when z and means are views of channel planes, as
-    the pipeline's and the FrameModel's are.
+    channel is gathered on its own, from z.T and means[k].T; the latter
+    are contiguous planes for a FrameModel's means. uint8 samples
+    convert to float64 exactly, so they give the classes float ones do.
     """
     out = labels.copy()
     idx = np.flatnonzero(labels == FOREGROUND)

@@ -63,6 +63,21 @@ def test_decode_ppm_truncated_header():
         decode_ppm(b"P6\n2 1")
 
 
+@pytest.mark.parametrize(
+    "decode, data",
+    [
+        (decode_ppm, b"P6\n1 1\n255"),
+        (decode_ppm, b"P6 1 1 255#c\n\x01\x02\x03"),
+        (decode_pgm, b"P5 1 1 255#\n\x00"),
+    ],
+)
+def test_decode_maxval_without_whitespace_after_it(decode, data):
+    # The header ends at the data's end, or a comment starts right after
+    # maxval: a payload must follow one whitespace byte.
+    with pytest.raises(MalformedHeader, match="missing whitespace between maxval and payload"):
+        decode(data)
+
+
 def test_decode_ppm_zero_dimension():
     with pytest.raises(MalformedHeader):
         decode_ppm(b"P6\n0 1\n255\n")

@@ -641,8 +641,8 @@ def _slot0_miss_fraction(pipeline, frame):
 
 @pytest.mark.parametrize("busy", [False, True])
 def test_steady_state_frames_allocate_little(busy):
-    # The model and the pipeline keep their per-frame work buffers, so a
-    # steady-state frame allocates little beyond the arrays it hands back.
+    # The models keep their per-frame work buffers, so a steady-state
+    # frame allocates little beyond the arrays it hands back.
     # Fresh full-raster temporaries would show here: without kept buffers
     # a steady frame peaks near 8.8 x 24 bytes a pixel. Both scenes blend
     # slot 0 in place: on the standard one at most a fifth of the pixels
@@ -670,6 +670,26 @@ def test_steady_state_frames_allocate_little(busy):
     finally:
         pipeline.close()
     assert multi_only == (0 if busy else 84)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_pipeline_and_models_hold_172_bytes_a_pixel(workers):
+    # A steady pipeline's own arrays and its band models' work buffers stay
+    # at 172 bytes a pixel at k = 3: 148 of work buffers and 24 of one
+    # float64 copy of the frame. The pipeline used to hold that copy; the
+    # models now keep it as their sample planes, and the total must not
+    # grow.
+    spec = standard_scene()
+    frames, _ = generate_scene(spec, seed=1)
+    pipeline = FramePipeline(RunConfig(workers=workers), spec.width, spec.height)
+    try:
+        for frame in frames[:3]:
+            pipeline.process(frame)
+        arrays = [a for a in vars(pipeline).values() if isinstance(a, np.ndarray)]
+        arrays += [a for model in pipeline.models for a in vars(model._scratch).values()]
+    finally:
+        pipeline.close()
+    assert sum(a.nbytes for a in arrays) <= 172 * spec.width * spec.height
 
 
 @pytest.mark.parametrize("busy", [False, True])

@@ -4,8 +4,9 @@ The reference scene scores F1 1.000 on both classes, so its floors cannot
 see a regression. Each scene here costs the pipeline some accuracy, and
 each floor sits just under the value measured under RunConfig() with
 seed 7 and 30 warm-up frames; a change that loses accuracy on that scene
-fails the gate. The last two tests gate events under the default event
-settings: the abandoned-object alarm, and two actors that cross and park.
+fails the gate. The last three tests gate events under the default event
+settings: the abandoned-object alarm, two actors that cross and park, and
+one actor that pauses, parks, moves on and parks again.
 """
 
 from dataclasses import replace
@@ -121,3 +122,47 @@ def test_crossing_actors_keep_their_tracks():
     assert sorted(ends) == [1, 2]
     assert ends[1][0] > 140 and abs(ends[1][1] - 47.5) < 1
     assert ends[2][0] < 20 and abs(ends[2][1] - 67.5) < 1
+
+
+def test_pause_and_resume_rearms_the_alarm():
+    # A 16x16 actor enters at frame 10, pauses for 12 frames (30-42), parks
+    # from frame 60 to 100 and parks again from frame 115. The pause is
+    # shorter than n_static and raises nothing; each park alarms once, 20
+    # frames after the actor stopped, because moving on clears the static
+    # counter and the alarm latch. Without the latch reset the frame-135
+    # alarm is lost; without the counter reset the track alarms at frame 68
+    # and on most frames of its walk from 101 to 115. The tracker's own
+    # unit test, test_events.py::test_movement_resets_counter_and_latch,
+    # catches both as well: this test adds end-to-end coverage of pause and
+    # resume, through the model and segmentation, not a new catch.
+    spec = SceneSpec(
+        width=160,
+        height=120,
+        frames=150,
+        actors=(
+            Actor(
+                size=(16, 16),
+                color=(180, 60, 60),
+                waypoints=(
+                    Waypoint(10, 4, 50),
+                    Waypoint(30, 44, 50),
+                    Waypoint(42, 44, 50),
+                    Waypoint(60, 80, 50),
+                    Waypoint(100, 80, 50),
+                    Waypoint(115, 130, 50),
+                ),
+                from_frame=10,
+            ),
+        ),
+    )
+    frames, _ = generate_scene(spec, seed=7)
+    pipeline = FramePipeline(RunConfig(), spec.width, spec.height)
+    try:
+        events = [e for frame in frames for e in pipeline.process(frame).events]
+    finally:
+        pipeline.close()
+    assert [(e.frame, e.kind, e.track) for e in events] == [
+        (10, KIND_MOTION_STARTED, 1),
+        (80, KIND_ABANDONED, 1),
+        (135, KIND_ABANDONED, 1),
+    ]

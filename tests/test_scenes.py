@@ -172,9 +172,11 @@ def test_output_dtype_and_range():
             )
         },
         {"actors": (Actor(size=(2, 2), color=(1, 1, 1), waypoints=(Waypoint(0, 0, 0),), from_frame=3, to_frame=1),)},
+        {"actors": (Actor(size=(2, 2), color=(1, 1, 1), waypoints=(Waypoint(0, 0, 0),), from_frame=-1),)},
         {"shadows": (ShadowPatch(rect=(0, 0, 30, 5), gain=0.5),)},
         {"shadows": (ShadowPatch(rect=(0, 0, 5, 5), gain=1.5),)},
         {"shadows": (ShadowPatch(rect=(0, 0, 5, 5), gain=0.5, from_frame=4, to_frame=2),)},
+        {"shadows": (ShadowPatch(rect=(0, 0, 5, 5), gain=0.5, from_frame=-1),)},
         {"flickers": (Flicker(rect=(0, 0, 4, 4), colors=((0, 0, 0), (9, 9, 9)), period=0),)},
         {"ramp": GainRamp(0.0, 1.0)},
     ],

@@ -91,6 +91,9 @@ def test_checkerboard_four_vs_eight():
 def test_bad_connectivity():
     with pytest.raises(ValueError):
         label_components(np.zeros((2, 2), dtype=np.uint8), "six")
+    # Nor may blob extraction keep empty regions.
+    with pytest.raises(ValueError, match="min_area must be >= 1"):
+        extract_blobs(np.zeros((2, 2), dtype=np.int32), min_area=0)
 
 
 def test_bad_rank():

@@ -204,6 +204,29 @@ def test_refine_classes_matches_scalar():
         assert out[j] == expect, f"pixel {j}"
 
 
+def test_uint8_rows_classify_as_float_planes():
+    # FramePipeline hands refine_classes a band of the frame's uint8 rows.
+    # uint8 converts to float64 exactly, so they classify as the same values
+    # as float channel planes do.
+    rng = np.random.default_rng(32)
+    h, w, k = 20, 30, 3
+    n = h * w
+    means = rng.uniform(0.0, 255.0, (k, n, 3))
+    frame = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+    rows = frame.reshape(-1, 3)
+    dim = rng.random(n) < 0.5
+    rows[dim] = np.rint(means[0, dim] * rng.uniform(0.3, 1.0, (int(dim.sum()), 1)))
+    b = rng.integers(1, k + 1, n)
+    labels = np.where(rng.random(n) < 0.8, FOREGROUND, BACKGROUND).astype(np.uint8)
+    band = slice(5 * w, 15 * w)
+    planes = np.ascontiguousarray(rows.T, dtype=np.float64)
+    want = refine_classes(labels[band], planes[:, band].T, means[:, band], b[band], P)
+    got = refine_classes(labels[band], rows[band], means[:, band], b[band], P)
+    assert np.array_equal(got, want)
+    # Both outcomes occur: 107 shadow and 149 foreground pixels.
+    assert min(np.count_nonzero(want == c) for c in (SHADOW, FOREGROUND)) > 100
+
+
 def test_refine_classes_no_foreground_short_circuit():
     labels = np.full(10, BACKGROUND, dtype=np.uint8)
     z = np.zeros((10, 3))
