@@ -113,10 +113,9 @@ MULTI_SLOT_FRACTION = 1 / 3
 class FrameModel:
     """Mixture state for n_pixels pixels, k slots each.
 
-    Arrays are indexed [slot, pixel] and updated in place by observe().
-    weights, variances, live_count and mean_planes, the (3, k, n) channel
-    planes of the means, stay C-contiguous; means is the (k, n, 3) view of
-    mean_planes, indexed [slot, pixel, channel], and is not. Slots are kept
+    Arrays are indexed [slot, pixel] and updated in place by observe();
+    mean_planes, the (3, k, n) channel planes of the means, is indexed
+    [channel, slot, pixel]. All of them stay C-contiguous. Slots are kept
     sorted per pixel by weight/sigma, highest first; equal ranks keep
     their slot order. The first observe() call seeds every pixel with a
     single component and classifies everything as background.
@@ -129,9 +128,7 @@ class FrameModel:
         self.params = params
         self.n = n_pixels
         self.weights = np.zeros((k, n_pixels), dtype=np.float64)
-        # One plane per channel; means is its (k, n, 3) view.
         self.mean_planes = np.zeros((3, k, n_pixels), dtype=np.float64)
-        self.means = self.mean_planes.transpose(1, 2, 0)
         self.variances = np.full((k, n_pixels), params.var_init, dtype=np.float64)
         self.live_count = np.zeros(n_pixels, dtype=np.int64)
         self.started = False
@@ -152,7 +149,7 @@ class FrameModel:
             raise ValueError(f"expected ({n}, 3) samples, got {z.shape}")
         if not self.started:
             self.weights[0] = 1.0
-            self.means[0] = z
+            self.mean_planes[:, 0] = z.T
             self.live_count[:] = 1
             self.started = True
             labels = np.full(n, BACKGROUND, dtype=np.uint8)
@@ -254,18 +251,8 @@ class FrameModel:
         grown = np.add(jt, 1, out=s.i3[:n_u])
         count[iu] = np.minimum(grown, k, out=grown)
         n_full = np.count_nonzero(full)
-        if n_full:
-            w_full = _take(w, np.compress(full, iu, out=s.i3[:n_full]), s.block, axis=1)
-            # argmin over axis 0, which would copy the block: the strictly
-            # lower weight wins, so ties keep the first slot.
-            low = w_full[0]
-            pick = s.i3[:n_full]
-            pick.fill(0)
-            lower = s.m2[:n_full]
-            for j in range(1, k):
-                pick[np.less(w_full[j], low, out=lower)] = j
-                np.minimum(low, w_full[j], out=low)
-            jt[full] = pick
+        to_replace = np.compress(full, iu, out=s.i3[:n_full])
+        jt[full] = np.argmin(_take(w, to_replace, s.block, axis=1), axis=0)
         jm[iu] = jt
 
         # Every pixel decays all its live weights. Dead slots stay 0.0, and

@@ -76,6 +76,13 @@ class FramePipeline:
     def __init__(self, config: RunConfig, width: int, height: int):
         if width < 1 or height < 1:
             raise ValueError(f"width {width} and height {height} must both be at least 1")
+        for zone in config.zones:
+            x0, y0, x1, y1 = zone.rect
+            # Such a zone can never overlap a blob, so its alarm could never fire.
+            if x1 < 0 or y1 < 0 or x0 >= width or y0 >= height:
+                raise ValueError(
+                    f"zone {zone.name!r} rect {zone.rect} lies outside the {width}x{height} raster"
+                )
         self.config = config
         self.width = width
         self.height = height
@@ -99,7 +106,7 @@ class FramePipeline:
         # not add to the frame's peak memory.
         labels, b = model.observe(z)[::2]
         t_observed = time.perf_counter()
-        return refine_classes(labels, z, model.means, b, self.config.shadow), t_observed
+        return refine_classes(labels, z, model.mean_planes, b, self.config.shadow), t_observed
 
     def process(self, frame: np.ndarray) -> FrameResult:
         """Advance the pipeline by one (h, w, 3) uint8 frame."""

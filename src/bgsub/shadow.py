@@ -44,19 +44,20 @@ class ShadowParams:
 def refine_classes(
     labels: np.ndarray,
     z: np.ndarray,
-    means: np.ndarray,
+    mean_planes: np.ndarray,
     b: np.ndarray,
     params: ShadowParams,
 ) -> np.ndarray:
     """Second look at the foreground of a flat frame: a pixel that shadows
     any of its background colors becomes SHADOW.
 
-    labels is (n,) uint8, z is (n, 3) float64 or uint8, means is
-    (k, n, 3) in rank order, b is (n,) background prefix sizes: only the
-    first b[i] means of pixel i count as background colors. Returns a new
-    (n,) uint8 class array with foreground pixels split into FOREGROUND
-    and SHADOW; other labels pass through, and labels itself is left as
-    it is.
+    labels is (n,) uint8, z is (n, 3) float64 or uint8, mean_planes is
+    the (3, k, n) channel planes of the means, indexed [channel, slot,
+    pixel] with slots in rank order, b is (n,) background prefix sizes:
+    only the first b[i] means of pixel i count as background colors.
+    Returns a new (n,) uint8 class array with foreground pixels split into
+    FOREGROUND and SHADOW; other labels pass through, and labels itself is
+    left as it is.
 
     Against background color bg, the brightness distortion is
     bd = (z . bg) / |bg|^2 and the chromaticity distortion
@@ -67,18 +68,18 @@ def refine_classes(
     Slot k is tested only on the foreground pixels that have a k-th
     background color (k < b) and shadowed none of slots 0..k-1, so the
     index narrows slot by slot and the loop stops once it is empty. Each
-    channel is gathered on its own, from z.T and means[k].T; the latter
-    are contiguous planes for a FrameModel's means. uint8 samples
-    convert to float64 exactly, so they give the classes float ones do.
+    channel is gathered on its own, from z.T and mean_planes[:, k], in any
+    layout. uint8 samples convert to float64 exactly, so they give the
+    classes float ones do.
     """
     out = labels.copy()
     idx = np.flatnonzero(labels == FOREGROUND)
-    for k in range(means.shape[0]):
+    for k in range(mean_planes.shape[1]):
         idx = idx[b[idx] > k]
         if not idx.size:
             break
         z0, z1, z2 = (plane[idx] for plane in z.T)
-        b0, b1, b2 = (plane[idx] for plane in means[k].T)
+        b0, b1, b2 = (plane[idx] for plane in mean_planes[:, k])
         nb2 = b0 * b0 + b1 * b1 + b2 * b2
         norm_b = np.sqrt(nb2)
         dot = z0 * b0 + z1 * b1 + z2 * b2

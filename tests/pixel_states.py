@@ -22,7 +22,7 @@ def load_states(fm, states):
         fm.live_count[j] = len(comps)
         for i, c in enumerate(comps):
             fm.weights[i, j] = c["w"]
-            fm.means[i, j] = c["m"]
+            fm.mean_planes[:, i, j] = c["m"]
             fm.variances[i, j] = c["v"]
     fm.started = True
 
@@ -30,7 +30,11 @@ def load_states(fm, states):
 def pixel_state(fm, j):
     """Pixel j of fm as a pixel state."""
     return [
-        {"w": float(fm.weights[i, j]), "m": fm.means[i, j].tolist(), "v": float(fm.variances[i, j])}
+        {
+            "w": float(fm.weights[i, j]),
+            "m": fm.mean_planes[:, i, j].tolist(),
+            "v": float(fm.variances[i, j]),
+        }
         for i in range(int(fm.live_count[j]))
     ]
 

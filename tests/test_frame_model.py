@@ -38,14 +38,14 @@ def _oracle_state(states):
     k = max(len(comps) for comps in states)
     n = len(states)
     weights = np.zeros((k, n))
-    means = np.zeros((k, n, 3))
+    mean_planes = np.zeros((3, k, n))
     variances = np.zeros((k, n))
     for j, comps in enumerate(states):
         for i, c in enumerate(comps):
             weights[i, j] = c["w"]
-            means[i, j] = c["m"]
+            mean_planes[:, i, j] = c["m"]
             variances[i, j] = c["v"]
-    return weights, means, variances
+    return weights, mean_planes, variances
 
 
 def _static_stream(rng, n_pixels, n_frames, crowded=()):
@@ -105,9 +105,9 @@ def _band_views(frames, before=7, after=5):
 def _first_match(fm, z):
     """Each pixel's first live slot that matches z, or -1, computed as
     observe() does, before the call."""
-    diff = z - fm.means
+    diff = z.T[:, None] - fm.mean_planes
     diff *= diff
-    d2 = diff[..., 0] + diff[..., 1] + diff[..., 2]
+    d2 = diff[0] + diff[1] + diff[2]
     limit = fm.params.d * fm.params.d
     matched = (d2 < limit * fm.variances) & (np.arange(fm.params.k)[:, None] < fm.live_count)
     return np.where(matched.any(axis=0), matched.argmax(axis=0), -1)
@@ -154,13 +154,13 @@ def _step_both(fm, states, z, op, exact, f_idx):
     kk = sw.shape[0]
     in_use = np.arange(kk)[:, None] < live
     assert np.all(fm.weights[kk:] == 0.0) and np.all(fm.weights[:kk][~in_use] == 0.0)
-    for got, expect in ((fm.weights, sw), (fm.means, sm), (fm.variances, sv)):
-        got = got[:kk][in_use]
+    for got, expect in ((fm.weights, sw), (fm.mean_planes, sm), (fm.variances, sv)):
+        got = got[..., :kk, :][..., in_use]
         if exact:
             # bit-for-bit: same operation order on both paths
-            assert np.array_equal(got, expect[in_use]), f"frame {f_idx}"
+            assert np.array_equal(got, expect[..., in_use]), f"frame {f_idx}"
         else:
-            np.testing.assert_allclose(got, expect[in_use], rtol=1e-12)
+            np.testing.assert_allclose(got, expect[..., in_use], rtol=1e-12)
     return states, (labels, pos, b)
 
 
@@ -214,10 +214,11 @@ def _chunk_paths(monkeypatch, p, frames):
     starts, widths = [], []
 
     def spy(mu, *args):
-        # The in-place blend works on slices of the model's own means; a
-        # slice's byte offset over the pixel stride is its first pixel.
-        if np.may_share_memory(mu, fm.means):
-            starts.append((mu.ctypes.data - fm.means.ctypes.data) // fm.means.strides[1])
+        # The in-place blend works on slices of the model's own mean planes;
+        # a slice's byte offset over the pixel stride is its first pixel.
+        if np.may_share_memory(mu, fm.mean_planes):
+            offset = mu.ctypes.data - fm.mean_planes.ctypes.data
+            starts.append(offset // fm.mean_planes.strides[2])
         blend(mu, *args)
 
     def prefix_spy(w, *args):
@@ -377,11 +378,11 @@ def test_dead_slot_is_never_matched(n_still):
     still = np.full((n_still, 3), 100.0)
     fm = FrameModel(p, n_still + 1)
     fm.observe(np.vstack([still, [(200.0, 200.0, 200.0)]]))
-    assert fm.means[1, -1].tolist() == [0.0, 0.0, 0.0] and fm.variances[1, -1] == 225.0
+    assert fm.mean_planes[:, 1, -1].tolist() == [0.0, 0.0, 0.0] and fm.variances[1, -1] == 225.0
     labels, pos, b = fm.observe(np.vstack([still, [(5.0, 5.0, 5.0)]]))
     assert fm.live_count[-1] == 2
     assert labels[-1] == FOREGROUND and pos[-1] == 1
-    assert fm.means[1, -1].tolist() == [5.0, 5.0, 5.0]
+    assert fm.mean_planes[:, 1, -1].tolist() == [5.0, 5.0, 5.0]
     assert fm.variances[1, -1] == p.var_init
     op = oracle_params_of(p)
     comps, o_label, o_pos, o_b = oracle_step(oracle_init([200.0] * 3, op), [5.0] * 3, op)
@@ -424,13 +425,13 @@ def test_equal_ranks_keep_slot_order():
         assert fm.live_count[j] == len(comps_j)
         for i, c in enumerate(comps_j):
             assert fm.weights[i, j] == c["w"]
-            assert fm.means[i, j].tolist() == c["m"]
+            assert fm.mean_planes[:, i, j].tolist() == c["m"]
             assert fm.variances[i, j] == c["v"]
     rank = fm.weights / np.sqrt(fm.variances)
     assert rank[1, 0] == rank[2, 0] and pos[0] == 2
     assert rank[0, 1] == rank[1, 1] and pos[1] == 1
     assert rank[0, 2] == rank[1, 2]
-    assert sorted(tuple(m) for m in fm.means[:, 3]) == [(0.0,) * 3, (50.0,) * 3, far]
+    assert sorted(tuple(m) for m in fm.mean_planes[:, :, 3].T) == [(0.0,) * 3, (50.0,) * 3, far]
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -505,7 +506,7 @@ def test_first_observation_bootstraps_background():
     assert np.all(pos == 0)
     assert np.all(b == 1)
     assert np.all(fm.live_count == 1)
-    assert np.array_equal(fm.means[0], z)
+    assert np.array_equal(fm.mean_planes[:, 0], z.T)
     assert np.all(fm.weights[0] == 1.0)
     assert np.all(fm.variances[0] == p.var_init)
 
@@ -548,7 +549,7 @@ def test_shape_validation():
 
 
 def _state(fm):
-    return [a.copy() for a in (fm.weights, fm.means, fm.variances, fm.live_count)]
+    return [a.copy() for a in (fm.weights, fm.mean_planes, fm.variances, fm.live_count)]
 
 
 @pytest.mark.parametrize("crowded", [False, True])
@@ -568,7 +569,7 @@ def test_results_stay_caller_owned(crowded):
     later = [a for z in frames[4:6] for a in fm.observe(z)]
     for got, want in zip(kept, copies):
         assert np.array_equal(got, want)
-    state = [fm.weights, fm.means, fm.variances, fm.live_count]
+    state = [fm.weights, fm.mean_planes, fm.variances, fm.live_count]
     for a in kept:
         assert not any(np.shares_memory(a, other) for other in later + state)
 

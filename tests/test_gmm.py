@@ -32,13 +32,13 @@ def test_seed_model():
     assert fm.live_count[0] == 1
     assert pixel_state(fm, 0) == oracle_init((100.0, 100.0, 100.0), oracle_params(var_init=225.0))
     assert fm.weights[0, 0] == 1.0
-    assert fm.means[0, 0].tolist() == [100.0, 100.0, 100.0]
+    assert fm.mean_planes[:, 0, 0].tolist() == [100.0, 100.0, 100.0]
     assert fm.variances[0, 0] == 225.0
 
 
 def test_init_at_black():
     fm = _seeded(ModelParams(), (0.0, 0.0, 0.0))
-    assert fm.means[0, 0].tolist() == [0.0, 0.0, 0.0]
+    assert fm.mean_planes[:, 0, 0].tolist() == [0.0, 0.0, 0.0]
     assert sum(c["w"] for c in pixel_state(fm, 0)) == 1.0
 
 
@@ -90,7 +90,7 @@ def test_match_prefers_higher_rank():
     assert step(fm, (100.0, 100.0, 100.0))[1] == 0
     # Both are within reach; only the first absorbs the value.
     assert fm.weights[1, 0] == 0.4 * (1.0 - p.alpha)
-    assert fm.means[1, 0].tolist() == [101.0, 100.0, 100.0] and fm.variances[1, 0] == 100.0
+    assert fm.mean_planes[:, 1, 0].tolist() == [101.0, 100.0, 100.0] and fm.variances[1, 0] == 100.0
 
 
 def _matched_rho(params, var, z):
@@ -99,7 +99,7 @@ def _matched_rho(params, var, z):
     fm = _pixel(params, (1.0, (0.0, 0.0, 0.0), var))
     step(fm, z)
     assert fm.live_count[0] == 1
-    return fm.means[0, 0, 0] / z[0]
+    return fm.mean_planes[0, 0, 0] / z[0]
 
 
 # 2**-30 from the mean: the density there equals the density at the mean

@@ -610,6 +610,37 @@ def test_frame_pipeline_rejects_empty_raster(width, height):
         FramePipeline(RunConfig(), width, height)
 
 
+@pytest.mark.parametrize(
+    "rect",
+    [(-10, 0, -1, 29), (40, 0, 50, 29), (0, -8, 39, -1), (0, 30, 39, 40), (-9, -9, -2, -2)],
+    ids=["left", "right", "above", "below", "all-negative"],
+)
+def test_frame_pipeline_rejects_zone_outside_raster(rect):
+    config = RunConfig(zones=[Zone("gate", (24, 8, 36, 20)), Zone("far", rect)])
+    with pytest.raises(ValueError, match=r"zone 'far' .* outside the 40x30 raster"):
+        FramePipeline(config, 40, 30)
+
+
+def test_frame_pipeline_keeps_zone_overlapping_raster_in_part():
+    # Of corner, only pixel (39, 29) lies inside; wide covers the whole raster.
+    zones = [Zone("corner", (39, 29, 60, 50)), Zone("wide", (-5, -5, 100, 100))]
+    pipeline = FramePipeline(RunConfig(zones=zones), 40, 30)
+    pipeline.close()
+    assert [zone.name for zone in pipeline.tracker.zones] == ["corner", "wide"]
+
+
+def test_zone_outside_raster_still_writes_stats(event_scene_dir, tmp_path):
+    out = tmp_path / "out"
+    config = _event_config(event_scene_dir, out, zones=[Zone("far", (200, 0, 240, 80))])
+    with pytest.raises(ValueError, match="zone 'far'"):
+        run_pipeline(config)
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["frames"] == 0
+    assert stats["error"] == (
+        "ValueError: zone 'far' rect (200, 0, 240, 80) lies outside the 40x30 raster"
+    )
+
+
 def test_more_workers_than_rows_collapses():
     pipeline = FramePipeline(RunConfig(workers=64), 8, 4)
     try:
@@ -633,7 +664,7 @@ def _busy_scene():
 
 def _slot0_miss_fraction(pipeline, frame):
     model = pipeline.models[0]
-    diff = frame.reshape(-1, 3) - model.means[0]
+    diff = frame.reshape(-1, 3) - model.mean_planes[:, 0].T
     diff *= diff
     d2 = diff[:, 0] + diff[:, 1] + diff[:, 2]
     return np.mean(~(d2 < model.params.d**2 * model.variances[0]))

@@ -86,7 +86,13 @@ def test_crossing_actors_keep_their_tracks():
     # merge for 7 frames and the identities swap, which the tracker's
     # greedy association accepts) and alarm once, n_static frames after it
     # parked. The parked blobs fade as the model absorbs them, which moves
-    # their centroids outward, to about x 153 and 6 by frame 119.
+    # their centroids outward, to about x 153 and 6 by frame 119. Each
+    # track's centroid row is also checked on every frame it is matched:
+    # with the association's pairs sorted farthest first, the end state and
+    # events still hold, but each track leaves its row on frames 56-64.
+    # test_events.py::test_greedy_prefers_closer_pair and two other tracker
+    # unit tests catch that order as well; this adds end-to-end coverage
+    # of it, through the model and segmentation, not a new catch.
     spec = SceneSpec(
         width=160,
         height=120,
@@ -108,8 +114,14 @@ def test_crossing_actors_keep_their_tracks():
     )
     frames, _ = generate_scene(spec, seed=7)
     pipeline = FramePipeline(RunConfig(), spec.width, spec.height)
+    events, rows = [], {}
     try:
-        events = [e for frame in frames for e in pipeline.process(frame).events]
+        for frame in frames:
+            result = pipeline.process(frame)
+            events += result.events
+            for t in pipeline.tracker.tracks:
+                if t.last_seen_frame == result.index:
+                    rows.setdefault(t.id, []).append(t.centroid[1])
         ends = {t.id: t.centroid for t in pipeline.tracker.tracks}
     finally:
         pipeline.close()
@@ -122,6 +134,9 @@ def test_crossing_actors_keep_their_tracks():
     assert sorted(ends) == [1, 2]
     assert ends[1][0] > 140 and abs(ends[1][1] - 47.5) < 1
     assert ends[2][0] < 20 and abs(ends[2][1] - 67.5) < 1
+    assert sorted(rows) == [1, 2] and [len(rows[1]), len(rows[2])] == [90, 90]
+    assert all(abs(y - 47.5) <= 3 for y in rows[1])
+    assert all(abs(y - 67.5) <= 3 for y in rows[2])
 
 
 def test_pause_and_resume_rearms_the_alarm():

@@ -19,7 +19,7 @@ def _classify(f, means, params=P, b_count=None, label=FOREGROUND):
     out = refine_classes(
         np.array([label], dtype=np.uint8),
         np.array([f], dtype=np.float64),
-        np.array(means, dtype=np.float64).reshape(-1, 1, 3),
+        np.array(means, dtype=np.float64).T.reshape(3, -1, 1),
         np.array([len(means) if b_count is None else b_count]),
         params,
     )
@@ -178,26 +178,27 @@ def test_refine_classes_matches_scalar():
     rng = np.random.default_rng(31)
     n, k = 400, 3
     z = rng.uniform(0.0, 255.0, (n, 3))
-    means = rng.uniform(0.0, 255.0, (k, n, 3))
+    mean_planes = np.ascontiguousarray(rng.uniform(0.0, 255.0, (k, n, 3)).transpose(2, 0, 1))
     # sprinkle degenerate and dim-copy cases
-    means[0, :40] = 0.0
-    z[40:120] = means[0, 40:120] * rng.uniform(0.45, 0.9, (80, 1))
+    mean_planes[:, 0, :40] = 0.0
+    z[40:120] = mean_planes[:, 0, 40:120].T * rng.uniform(0.45, 0.9, (80, 1))
     b = rng.integers(1, k + 1, n)
     labels = np.where(rng.random(n) < 0.6, FOREGROUND, BACKGROUND).astype(np.uint8)
     before = labels.copy()
-    out = refine_classes(labels, z, means, b, P)
+    out = refine_classes(labels, z, mean_planes, b, P)
     # a new array; the input labels stay as they were
     assert out is not labels and np.array_equal(labels, before)
-    # The same samples as a band view of wider channel planes, and the same
-    # means as the view of mean planes that FrameModel keeps, classify the
-    # same.
+    # The same samples and mean planes as band views of wider planes, which
+    # are not contiguous, classify the same.
     planes = np.full((3, n + 9), np.nan)
     planes[:, 4 : 4 + n] = z.T
-    mean_planes = np.ascontiguousarray(means.transpose(2, 0, 1))
-    z_view, means_view = planes[:, 4 : 4 + n].T, mean_planes.transpose(1, 2, 0)
-    assert np.array_equal(refine_classes(labels, z_view, means_view, b, P), out)
+    wide = np.full((3, k, n + 9), np.nan)
+    wide[:, :, 4 : 4 + n] = mean_planes
+    z_view, planes_view = planes[:, 4 : 4 + n].T, wide[:, :, 4 : 4 + n]
+    assert not planes_view.flags.c_contiguous
+    assert np.array_equal(refine_classes(labels, z_view, planes_view, b, P), out)
     for j in range(n):
-        mean_list = [means[i, j].tolist() for i in range(k)]
+        mean_list = [mean_planes[:, i, j].tolist() for i in range(k)]
         expect = oracle_refine(
             int(labels[j]), z[j].tolist(), mean_list, int(b[j]), P.bd_low, P.bd_high, P.cd_max
         )
@@ -211,17 +212,17 @@ def test_uint8_rows_classify_as_float_planes():
     rng = np.random.default_rng(32)
     h, w, k = 20, 30, 3
     n = h * w
-    means = rng.uniform(0.0, 255.0, (k, n, 3))
+    mean_planes = np.ascontiguousarray(rng.uniform(0.0, 255.0, (k, n, 3)).transpose(2, 0, 1))
     frame = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
     rows = frame.reshape(-1, 3)
     dim = rng.random(n) < 0.5
-    rows[dim] = np.rint(means[0, dim] * rng.uniform(0.3, 1.0, (int(dim.sum()), 1)))
+    rows[dim] = np.rint(mean_planes[:, 0, dim].T * rng.uniform(0.3, 1.0, (int(dim.sum()), 1)))
     b = rng.integers(1, k + 1, n)
     labels = np.where(rng.random(n) < 0.8, FOREGROUND, BACKGROUND).astype(np.uint8)
     band = slice(5 * w, 15 * w)
     planes = np.ascontiguousarray(rows.T, dtype=np.float64)
-    want = refine_classes(labels[band], planes[:, band].T, means[:, band], b[band], P)
-    got = refine_classes(labels[band], rows[band], means[:, band], b[band], P)
+    want = refine_classes(labels[band], planes[:, band].T, mean_planes[..., band], b[band], P)
+    got = refine_classes(labels[band], rows[band], mean_planes[..., band], b[band], P)
     assert np.array_equal(got, want)
     # Both outcomes occur: 107 shadow and 149 foreground pixels.
     assert min(np.count_nonzero(want == c) for c in (SHADOW, FOREGROUND)) > 100
@@ -230,7 +231,7 @@ def test_uint8_rows_classify_as_float_planes():
 def test_refine_classes_no_foreground_short_circuit():
     labels = np.full(10, BACKGROUND, dtype=np.uint8)
     z = np.zeros((10, 3))
-    means = np.zeros((2, 10, 3))
+    mean_planes = np.zeros((3, 2, 10))
     b = np.ones(10, dtype=np.int64)
-    out = refine_classes(labels, z, means, b, P)
+    out = refine_classes(labels, z, mean_planes, b, P)
     assert out is not labels and np.array_equal(out, labels)
