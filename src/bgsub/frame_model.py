@@ -18,10 +18,13 @@ round as the loop's do.
 
 The means are stored as channel planes, one (3, k, n) array, so that
 every step on them runs long unit-stride loops: each channel of each slot
-is one contiguous row of n values. observe() first copies the samples
-into (3, n) float64 planes of its own, so z may come in any (n, 3)
-layout and in any dtype that converts to float64 exactly, such as a band
-of a uint8 frame's rows, and gives the same state.
+is one contiguous row of n values. observe() converts the samples to
+float64 planes only where it uses them, and holds no float copy of the
+frame: each slot-0 chunk converts its own rows into a cache-sized plane
+buffer, and the later gathers take rows in z's own dtype and convert
+only those. So z may come in any (n, 3) layout and in any dtype that
+converts to float64 exactly, such as a band of a uint8 frame's rows, and
+gives the same state.
 
 The match test costs in proportion to the slots that can still match.
 Slot 0 is live for every started pixel and is tested densely, in chunks
@@ -66,11 +69,12 @@ Slots beyond a pixel's live count hold weight exactly 0.0 and never
 influence sums, matching or the background prefix.
 
 Each FrameModel owns the work buffers of its observe() calls: a float
-block, the sample planes, two (3, n) plane buffers, and n-sized float,
-index and mask buffers, allocated on the first observe() after the
-seeding one and reused for every frame after that, through out=
-arguments and [:m] views; the chunked slot-0 pass reuses their leading
-BLEND_CHUNK columns and writes nothing into the sample planes. The
+block, two (3, n) plane buffers, and n-sized float, index and mask
+buffers, allocated on the first observe() after the seeding one and
+reused for every frame after that, through out= arguments and [:m]
+views; the chunked slot-0 pass reuses their leading BLEND_CHUNK columns,
+its chunk's sample planes among them. Only the gathered sample rows are
+fresh, in z's own dtype (3 bytes a gathered pixel of uint8 rows). The
 reason is memory, not arithmetic: fresh temporaries for every frame
 (about 8.8 times 24 bytes a pixel) would be handed back to the system by
 the C allocator between frames, and every frame would fault in fresh
@@ -89,14 +93,16 @@ import numpy as np
 from .gmm import BACKGROUND, FOREGROUND, GAUSS_NORM_3D, PDF_FAITHFUL, ModelParams
 
 # Pixels per chunk of the slot-0 test and in-place blend, so that a chunk's
-# (3, chunk) temporaries (384 KiB each at 16384) stay in cache. n pixels
-# make max(1, round(n / BLEND_CHUNK)) chunks, as equal in size as possible.
-# observe(), mean over the seed-1 frames of each frame's best of 8 passes,
-# one model per size stepped side by side in rotating order (2-vCPU shared
-# Xeon), in two repetitions: vga640 read 12.2-12.3 ms at 4096, 11.5-11.6
-# at 8192, 11.8-12.7 at 16384, 13.4-13.8 at 32768 and 17.2-18.3 as one
-# chunk of 307200; busy160 (19200 pixels, 10 passes) read 1.39 ms at 4096
-# and 8192 and 1.40-1.41 as one chunk, which 16384 and 32768 also make.
+# (3, chunk) sample planes and temporaries (384 KiB each at 16384) stay in
+# cache. n pixels make max(1, round(n / BLEND_CHUNK)) chunks, as equal in
+# size as possible. observe(), mean over the seed-1 frames of each frame's
+# best of 8 passes, one model per size stepped side by side in rotating
+# order (2-vCPU shared Xeon), in two repetitions: vga640 read 14.0-14.4 ms
+# at 4096, 13.1-13.4 at 8192, 13.7-14.3 at 16384, 15.4-15.9 at 32768 and
+# 20.5-21.1 as one chunk of 307200; busy160 (19200 pixels, 10 passes) read
+# 1.73-1.90 ms at 4096, 1.66-1.82 at 8192 and 1.68-1.83 as one chunk, which
+# 16384 and 32768 also make. 8192 is not worth a change of value without
+# benchmark pairs of its own.
 BLEND_CHUNK = 16384
 
 # The rank sort and the background prefix run over the gathered pixels that
@@ -162,11 +168,8 @@ class FrameModel:
         w = self.weights
         var = self.variances
         count = self.live_count
-        # The samples and the means as channel planes: zt[c] is channel c
-        # of every pixel, mu_flat[c] that channel of every slot. Flat views:
-        # slot j of pixel i sits at j * n + i.
-        zt = s.z
-        np.copyto(zt, z.T)
+        # The means as channel planes: mu_flat[c] is channel c of every
+        # slot. Flat views: slot j of pixel i sits at j * n + i.
         mu_flat = self.mean_planes.reshape(3, -1)
         w_flat = w.reshape(-1)
         var_flat = var.reshape(-1)
@@ -183,8 +186,12 @@ class FrameModel:
         for i in range(n_chunks):
             cut = slice(i * n // n_chunks, (i + 1) * n // n_chunks)
             c = cut.stop - cut.start
-            mu_c, var_c, z_c = self.mean_planes[:, 0, cut], var[0, cut], zt[:, cut]
+            mu_c, var_c = self.mean_planes[:, 0, cut], var[0, cut]
             d2_c, hit_c = s.block[:c], hit0[cut]
+            # The chunk's samples as float planes, converted while in cache;
+            # the blend below overwrites them.
+            z_c = s.rows[1, :, :c]
+            np.copyto(z_c, z[cut].T)
             _sq_norm(np.subtract(z_c, mu_c, out=s.rows[0, :, :c]), d2_c)
             np.less(d2_c, np.multiply(limit, var_c, out=s.f0[:c]), out=hit_c)
             # rho is alpha at a match and 0.0 at a miss, keep 1 - rho: the
@@ -198,7 +205,7 @@ class FrameModel:
                 _pdf_rho(var_c, d2_c, p.alpha, rho, s.f0[:c])
                 rho *= hit_c
                 np.subtract(1.0, rho, out=keep)
-            _blend(mu_c, var_c, z_c, rho, keep, s.rows[0, :, :c], s.rows[1, :, :c], s.f3[:c])
+            _blend(mu_c, var_c, z_c, rho, keep, s.rows[0, :, :c], z_c, s.f3[:c])
             # The floor is var_min at a match and 0.0 at a miss, where the
             # max keeps the variance, since variances are always positive.
             np.maximum(var_c, np.multiply(hit_c, p.var_min, out=s.f3[:c]), out=var_c)
@@ -220,7 +227,7 @@ class FrameModel:
             held, spare = spare, held
             rest = np.compress(live, rest, out=held[:r])
             f = np.add(rest, j * n, out=s.i2[:r])
-            dz = _take(zt, rest, s.rows[0], axis=1)
+            dz = _take_rows(z, rest, s.rows[0])
             dz -= _take(mu_flat, f, s.rows[1], axis=1)
             d2_j = s.f0[:r]
             _sq_norm(dz, d2_j)
@@ -267,7 +274,7 @@ class FrameModel:
 
         # Gathered matched pixels: reward the match, pull its mean and
         # variance to z.
-        z_m = _take(zt, im, s.rows[0], axis=1)
+        z_m = _take_rows(z, im, s.rows[0])
         w_m = _take(w_flat, fm, s.f1)
         w_m += p.alpha
         w_flat[fm] = w_m
@@ -292,7 +299,7 @@ class FrameModel:
         ft *= n
         ft += iu
         w_flat[ft] = p.w_init
-        _put_planes(mu_flat, ft, _take(zt, iu, s.rows[0], axis=1))
+        _put_planes(mu_flat, ft, _take_rows(z, iu, s.rows[0]))
         var_flat[ft] = p.var_init
         w_u = _take(w, iu, s.block, axis=1)
         total = s.f0[:n_u]
@@ -376,11 +383,12 @@ class _Scratch:
     """Work buffers of one FrameModel's observe(), each sized for all n
     pixels; a step over m pixels uses [:m] views. Steps that do not overlap
     share a buffer, so the set is smaller than the temporaries a frame
-    allocated without it: at k = 3, 172 bytes a pixel (index 8, block 24,
-    the sample planes z 24, the two (3, n) rows 48, float 32, index 32,
-    mask 3, hit0 1). hit0 holds the slot-0 matches from the chunk pass,
-    which also applies their weight step, to the selection of the
-    later-slot matches."""
+    allocated without it: at k = 3, 148 bytes a pixel (index 8, block 24,
+    the two (3, n) rows 48, float 32, index 32, mask 3, hit0 1). The rows
+    hold a slot-0 chunk's samples and distances, and the gathered samples
+    and means, as float planes. hit0 holds the slot-0 matches from the
+    chunk pass, which also applies their weight step, to the selection of
+    the later-slot matches."""
 
     def __init__(self, k: int, n: int):
         self.index = np.arange(n)
@@ -390,7 +398,6 @@ class _Scratch:
         # of every pixel, or (k, m) of the m <= n/2 multi-slot pixels followed
         # by their weights.
         self.block = np.empty(max(k, 3) * n)
-        self.z = np.empty((3, n))
         self.rows = np.empty((2, 3, n))
         self.f0, self.f1, self.f2, self.f3 = np.empty((4, n))
         self.i0, self.i1, self.i2, self.i3 = np.empty((4, n), dtype=np.int64)
@@ -408,6 +415,16 @@ def _take(a: np.ndarray, idx: np.ndarray, buf: np.ndarray, axis: int = 0) -> np.
     shape[axis] = idx.size
     out = buf.reshape(-1)[: math.prod(shape)].reshape(shape)
     return np.take(a, idx, axis=axis, out=out, mode="clip")
+
+
+def _take_rows(z: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The rows z[idx] of the (n, 3) samples as (3, m) float64 planes in
+    the leading part of buf. The rows are gathered in z's own dtype, with
+    np.take, which is several times faster than z[idx] on uint8 rows, and
+    converted as they are copied."""
+    out = buf.reshape(-1)[: 3 * idx.size].reshape(3, idx.size)
+    np.copyto(out, np.take(z, idx, axis=0, mode="clip").T)
+    return out
 
 
 def _put_planes(planes: np.ndarray, idx: np.ndarray, v: np.ndarray) -> None:

@@ -11,7 +11,7 @@ from oracles import oracle_init, oracle_step
 from pixel_states import load_states, oracle_params_of
 
 import bgsub.frame_model
-from bgsub.frame_model import MULTI_SLOT_FRACTION, FrameModel, _Scratch
+from bgsub.frame_model import BLEND_CHUNK, MULTI_SLOT_FRACTION, FrameModel, _Scratch
 from bgsub.gmm import BACKGROUND, FIXED_ALPHA, FOREGROUND, PDF_FAITHFUL, ModelParams
 
 # A frame, or a chunk of one, is sparse when at most this fraction of its
@@ -292,28 +292,41 @@ def test_path_choice_keeps_state(monkeypatch, k, rho_mode):
 
 @pytest.mark.parametrize("rho_mode", [FIXED_ALPHA, PDF_FAITHFUL])
 @pytest.mark.parametrize("k", [1, 3])
-def test_uint8_rows_give_the_float_run(k, rho_mode):
+def test_uint8_rows_give_the_float_run(monkeypatch, k, rho_mode):
     # FramePipeline hands each band model the frame's own uint8 rows. observe
-    # copies them into its float64 sample planes, and uint8 converts to
-    # float64 exactly, so the run equals the one on the same values as
-    # float rows, bit for bit.
+    # converts each slot-0 chunk's rows into float64 planes, and the later
+    # slots' test, the gathered blend and the fresh-slot fill gather uint8
+    # rows and convert those; uint8 converts to float64 exactly, so the run
+    # equals the one on the same values as float rows, bit for bit. The
+    # patchy stream reaches all three gathers. Chunks of 1 and 37 pixels
+    # make many chunks, and the rows also come as a view into wider rows,
+    # neither C- nor F-contiguous.
     p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
     stream = _patchy_stream(np.random.default_rng(52), 200, 16)
     rows = [np.rint(z).astype(np.uint8) for z in stream]
     want = _run_alone(p, [z.astype(np.float64) for z in rows])
-    fm = FrameModel(p, len(rows[0]))
-    outs = [fm.observe(z) for z in rows]
-    _assert_same_run(fm, outs, want)
+    views = []
+    for z in rows:
+        wide = np.full((len(z), 6), 255, dtype=np.uint8)
+        wide[:, 1:4] = z
+        view = wide[:, 1:4]
+        assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+        views.append(view)
+    for chunk, form in itertools.product((1, 37, BLEND_CHUNK), (rows, views)):
+        monkeypatch.setattr(bgsub.frame_model, "BLEND_CHUNK", chunk)
+        fm = FrameModel(p, len(rows[0]))
+        outs = [fm.observe(z) for z in form]
+        _assert_same_run(fm, outs, want)
 
 
 def test_work_buffers_do_not_grow():
-    # The gathered sort keeps its ranks and weights in the float block, so a
-    # k = 3 model's work buffers stay at 172 bytes a pixel: 148 of work
-    # buffers and the 24 of the float64 sample planes, the frame copy that
-    # FramePipeline used to hold for its bands.
+    # The gathered sort keeps its ranks and weights in the float block, and
+    # each slot-0 chunk converts its samples into the plane buffers, so a
+    # k = 3 model's work buffers stay at 148 bytes a pixel, with no float64
+    # copy of the frame.
     n = 1000
     total = sum(a.nbytes for a in vars(_Scratch(3, n)).values())
-    assert total <= 172 * n
+    assert total <= 148 * n
 
 
 @pytest.mark.parametrize("rho_mode", [FIXED_ALPHA, PDF_FAITHFUL])

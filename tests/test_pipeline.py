@@ -704,12 +704,11 @@ def test_steady_state_frames_allocate_little(busy):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_pipeline_and_models_hold_172_bytes_a_pixel(workers):
+def test_pipeline_and_models_hold_148_bytes_a_pixel(workers):
     # A steady pipeline's own arrays and its band models' work buffers stay
-    # at 172 bytes a pixel at k = 3: 148 of work buffers and 24 of one
-    # float64 copy of the frame. The pipeline used to hold that copy; the
-    # models now keep it as their sample planes, and the total must not
-    # grow.
+    # at 148 bytes a pixel at k = 3, all of it work buffers: neither the
+    # pipeline nor its models hold a float64 copy of the frame (24 bytes a
+    # pixel), and the total must not grow.
     spec = standard_scene()
     frames, _ = generate_scene(spec, seed=1)
     pipeline = FramePipeline(RunConfig(workers=workers), spec.width, spec.height)
@@ -720,7 +719,7 @@ def test_pipeline_and_models_hold_172_bytes_a_pixel(workers):
         arrays += [a for model in pipeline.models for a in vars(model._scratch).values()]
     finally:
         pipeline.close()
-    assert sum(a.nbytes for a in arrays) <= 172 * spec.width * spec.height
+    assert sum(a.nbytes for a in arrays) <= 148 * spec.width * spec.height
 
 
 @pytest.mark.parametrize("busy", [False, True])
