@@ -69,7 +69,6 @@ class TrackedBlob:
     centroid: tuple[float, float]
     bbox: tuple[int, int, int, int]
     last_seen_frame: int
-    frames_seen: int = 1
     frames_static: int = 0
     alarm_raised: bool = False
 
@@ -164,7 +163,6 @@ class EventTracker:
             track.centroid = blob.centroid
             track.bbox = blob.bbox
             track.last_seen_frame = frame_index
-            track.frames_seen += 1
             assignment.append((track, blob))
 
         events = []

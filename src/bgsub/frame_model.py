@@ -2,19 +2,19 @@
 
 Holds the per-pixel Gaussian mixtures of an entire frame (or a band of
 rows) in numpy arrays and advances all of them in one pass per frame.
-Per pixel, one step is: find the highest-ranked live component within d
-sigmas of the sample; if there is one, decay every weight by (1 - alpha),
-add alpha to the match and blend its mean and variance toward the sample
-(the variance against the already-blended mean); if not, put a fresh
-(w_init, z, var_init) component in the next free slot or over the
-lowest-weight one, decay the others and renormalize. Then restore the
-rank order and take the shortest prefix whose weights exceed t as
-background. The operation order (distance sums, decay before reward,
-summation order, tie-breaking) is fixed: in fixed-alpha mode the state
-is bit-identical to a plain per-pixel loop over these steps, which the
-tests hold it to. In the pdf-scaled rho mode the state can differ from
-such a loop in the last bits, since numpy's power and exp need not
-round as the loop's do.
+Per pixel, one step is: decay every weight by (1 - alpha); find the
+highest-ranked live component within d sigmas of the sample; if there is
+one, add alpha to its weight and blend its mean and variance toward the
+sample (the variance against the already-blended mean); if not, put a
+fresh (w_init, z, var_init) component in the next free slot or over the
+one of lowest decayed weight, and renormalize. Then restore the rank
+order and take the shortest prefix whose weights exceed t as background.
+The operation order (distance sums, decay before reward and before the
+slot choice, summation order, tie-breaking) is fixed: in fixed-alpha
+mode the state is bit-identical to a plain per-pixel loop over these
+steps, which the tests hold it to. In the pdf-scaled rho mode the state
+can differ from such a loop in the last bits, since numpy's power and
+exp need not round as the loop's do.
 
 The means are stored as channel planes, one (3, k, n) array, so that
 every step on them runs long unit-stride loops: each channel of each slot
@@ -32,27 +32,27 @@ of about BLEND_CHUNK pixels. Slot j is then tested only for the pixels
 that missed slots 0..j-1 and have more than j live slots, on values
 gathered by index, however many pixels missed slot 0.
 
-State is updated in place. Each chunk updates its slot-0 matches
-directly on the dense slot-0 rows, in the pass that tested them, while
-they are in cache: the weight decays and gains alpha, and the mean and
-variance blend. It uses a per-pixel rho that is zero where slot 0 did
-not match: for finite samples, such as pixel values, w * 1.0 + 0.0,
-mu * 1.0 + 0.0 * z and var * 1.0 + 0.0 leave those pixels exactly as
-they were, since no weight is ever -0.0. So the slot choice of the
-unmatched pixels still reads their weights from before any decay; after
-it, the later slots decay densely, and slot 0 of the pixels that missed
-it decays by index. The variance floor is plain arithmetic as well, not
-a masked ufunc, which runs about ten times slower on a noisy mask: a
-miss is floored at 0.0, which keeps its variance, since variances are
-always positive (even a fresh var_init below var_min). Every other per-pixel slot read and write goes through flat indices
-(slot * n + pixel) into raveled views of the weights, the variances and
-each mean plane, one plane at a time, and only for the pixels
-concerned: pixels matched at a later slot gather, blend and scatter
-their matched slot; unmatched pixels fill a fresh one and renormalize.
-Both blends run one helper in the same operation order, so the state
-does not depend on the chunk size. The in-place update costs the same
-whether a pixel matched or not, so a frame where most pixels miss slot 0
-pays for updating them all; no benchmark frame is like that.
+State is updated in place, and every slot is tested and updated by one
+helper, _match_and_blend, in one operation order, so the state does not
+depend on the chunk size. It blends every pixel it tests, with a
+per-pixel rho that is zero where the slot did not match: for finite
+samples, such as pixel values, mu * 1.0 + 0.0 * z and var * 1.0 + 0.0
+leave those pixels exactly as they were. The variance floor is plain
+arithmetic as well, not a masked ufunc, which runs about ten times slower
+on a noisy mask: a miss is floored at 0.0, which keeps its variance,
+since variances are always positive (even a fresh var_init below
+var_min). Each chunk first decays all k weights of its pixels, then runs
+the helper on its dense slot-0 rows directly, and adds alpha to the
+slot-0 weights of its matches (0.0 elsewhere, which keeps a weight, since
+no weight is ever -0.0), all while the chunk is in cache. The later slots
+run the same helper on the rows they gathered for the test, scatter the
+means and variances back, and add alpha to their matches' weights. Every
+such per-pixel slot read and write goes through flat indices (slot * n +
+pixel) into raveled views of the weights, the variances and each mean
+plane, one plane at a time, and only for the pixels concerned; unmatched
+pixels fill a fresh slot the same way and renormalize. The blend costs
+the same whether a pixel matched or not, so a frame where most pixels
+miss slot 0 pays for blending them all; no benchmark frame is like that.
 
 The per-pixel rank order is restored by a network of adjacent
 compare-exchange steps that swap only on a strictly higher rank, which
@@ -73,12 +73,13 @@ block, two (3, n) plane buffers, and n-sized float, index and mask
 buffers, allocated on the first observe() after the seeding one and
 reused for every frame after that, through out= arguments and [:m]
 views; the chunked slot-0 pass reuses their leading BLEND_CHUNK columns,
-its chunk's sample planes among them. Only the gathered sample rows are
-fresh, in z's own dtype (3 bytes a gathered pixel of uint8 rows). The
-reason is memory, not arithmetic: fresh temporaries for every frame
-(about 8.8 times 24 bytes a pixel) would be handed back to the system by
-the C allocator between frames, and every frame would fault in fresh
-zeroed pages again (about 7,400 minor faults a frame at 640x480). The
+its chunk's sample and difference planes among them. Only the gathered
+sample rows are fresh, in z's own dtype (3 bytes a gathered pixel of
+uint8 rows). The reason is memory, not arithmetic: fresh temporaries for
+every frame (about 8.8 times 24 bytes a pixel) would be handed back to
+the system by the C allocator between frames, and every frame would
+fault in fresh zeroed pages again (about 7,400 minor faults a frame at
+640x480). The
 buffers are per model, never shared, since band models run on threads at
 once. Construction and the seeding frame do not touch them. The arrays
 observe() returns are fresh and belong to the caller.
@@ -92,10 +93,11 @@ import numpy as np
 
 from .gmm import BACKGROUND, FOREGROUND, GAUSS_NORM_3D, PDF_FAITHFUL, ModelParams
 
-# Pixels per chunk of the slot-0 test and in-place blend, so that a chunk's
-# (3, chunk) sample planes and temporaries (384 KiB each at 16384) stay in
-# cache. n pixels make max(1, round(n / BLEND_CHUNK)) chunks, as equal in
-# size as possible. observe(), mean over the seed-1 frames of each frame's
+# Pixels per chunk of the weight decay and the slot-0 test and in-place
+# blend, so that a chunk's (3, chunk) sample planes and temporaries (384 KiB
+# each at 16384) stay in cache. n pixels make max(1, round(n / BLEND_CHUNK))
+# chunks, as equal in size as possible. Timed while the chunks decayed only
+# slot 0's weights: observe(), mean over the seed-1 frames of each frame's
 # best of 8 passes, one model per size stepped side by side in rotating
 # order (2-vCPU shared Xeon), in two repetitions: vga640 read 14.0-14.4 ms
 # at 4096, 13.1-13.4 at 8192, 13.7-14.3 at 16384, 15.4-15.9 at 32768 and
@@ -174,48 +176,33 @@ class FrameModel:
         w_flat = w.reshape(-1)
         var_flat = var.reshape(-1)
 
-        # Slot 0 is live for every started pixel: test it chunk by chunk, and
-        # update each chunk's slot-0 matches in place at once (module
-        # docstring): the weight gains alpha after its decay, and the mean
-        # and variance blend. A miss keeps all three here; the weights of
-        # the slot choice below must be those from before any decay.
-        limit = p.d * p.d
-        pdf_mode = p.rho_mode == PDF_FAITHFUL
-        hit0, unmatched = s.hit0, s.m0
+        # Every weight decays, and slot 0 is live for every started pixel:
+        # each chunk decays its pixels' weights and tests and blends slot 0
+        # in place while they are in cache (module docstring). Slot 0's
+        # matches gain alpha; its misses gain 0.0 and keep their weight.
+        # The matches land in unmatched, which is inverted after the pass.
+        unmatched = s.m0
         n_chunks = max(1, round(n / BLEND_CHUNK))
         for i in range(n_chunks):
             cut = slice(i * n // n_chunks, (i + 1) * n // n_chunks)
             c = cut.stop - cut.start
-            mu_c, var_c = self.mean_planes[:, 0, cut], var[0, cut]
-            d2_c, hit_c = s.block[:c], hit0[cut]
-            # The chunk's samples as float planes, converted while in cache;
-            # the blend below overwrites them.
-            z_c = s.rows[1, :, :c]
+            w[:, cut] *= 1.0 - p.alpha
+            # The chunk's samples as float planes, converted while in cache.
+            z_c = s.rows[0, :, :c]
             np.copyto(z_c, z[cut].T)
-            _sq_norm(np.subtract(z_c, mu_c, out=s.rows[0, :, :c]), d2_c)
-            np.less(d2_c, np.multiply(limit, var_c, out=s.f0[:c]), out=hit_c)
-            # rho is alpha at a match and 0.0 at a miss, keep 1 - rho: the
-            # weight step of slot 0, and in fixed-alpha mode its blend too.
-            rho = np.multiply(hit_c, p.alpha, out=s.f1[:c])
-            keep = np.subtract(1.0, rho, out=s.f2[:c])
-            w0_c = w[0, cut]
-            w0_c *= keep
-            w0_c += rho
-            if pdf_mode:
-                _pdf_rho(var_c, d2_c, p.alpha, rho, s.f0[:c])
-                rho *= hit_c
-                np.subtract(1.0, rho, out=keep)
-            _blend(mu_c, var_c, z_c, rho, keep, s.rows[0, :, :c], z_c, s.f3[:c])
-            # The floor is var_min at a match and 0.0 at a miss, where the
-            # max keeps the variance, since variances are always positive.
-            np.maximum(var_c, np.multiply(hit_c, p.var_min, out=s.f3[:c]), out=var_c)
-        n_miss = np.count_nonzero(np.logical_not(hit0, out=unmatched))
+            hit_c = unmatched[cut]
+            mu_c, var_c = self.mean_planes[:, 0, cut], var[0, cut]
+            diff = s.block[: 3 * c].reshape(3, c)
+            _match_and_blend(mu_c, var_c, z_c, hit_c, p, diff, s.f3[:c], s.f0[:c], s.f1[:c])
+            w[0, cut] += np.multiply(hit_c, p.alpha, out=s.f0[:c])
+        n_miss = np.count_nonzero(np.logical_not(unmatched, out=unmatched))
 
         # jm is the first matching slot (unused where nothing matched). It
         # becomes the returned pos. Slot j is tested only for pixels that
         # missed slots 0..j-1 and have more than j live slots, on gathered
-        # rows. rest moves between two index buffers, since a compaction
-        # cannot write over its own input.
+        # rows, which are blended as slot 0 is, then scattered back; its
+        # matches gain alpha. rest moves between two index buffers, since a
+        # compaction cannot write over its own input.
         jm = np.zeros(n, dtype=np.int64)
         held, spare = s.i0, s.i1
         rest = np.compress(unmatched, s.index, out=held[:n_miss])
@@ -227,32 +214,30 @@ class FrameModel:
             held, spare = spare, held
             rest = np.compress(live, rest, out=held[:r])
             f = np.add(rest, j * n, out=s.i2[:r])
-            dz = _take_rows(z, rest, s.rows[0])
-            dz -= _take(mu_flat, f, s.rows[1], axis=1)
-            d2_j = s.f0[:r]
-            _sq_norm(dz, d2_j)
-            lim_j = _take(var_flat, f, s.f1)
-            hit = np.less(d2_j, np.multiply(limit, lim_j, out=lim_j), out=s.m1[:r])
+            mu_j = _take(mu_flat, f, s.rows[1], axis=1)
+            var_j = _take(var_flat, f, s.f2)
+            hit = s.m1[:r]
+            z_j = _take_rows(z, rest, s.rows[0])
+            diff = s.block[: 3 * r].reshape(3, r)
+            _match_and_blend(mu_j, var_j, z_j, hit, p, diff, s.f3[:r], s.f0[:r], s.f1[:r])
+            _put_planes(mu_flat, f, mu_j)
+            var_flat[f] = var_j
             n_hit = np.count_nonzero(hit)
             found = np.compress(hit, rest, out=s.i3[:n_hit])
             unmatched[found] = False
             jm[found] = j
+            f_hit = np.add(found, j * n, out=s.i2[:n_hit])
+            w_hit = _take(w_flat, f_hit, s.f0)
+            w_hit += p.alpha
+            w_flat[f_hit] = w_hit
             held, spare = spare, held
             rest = np.compress(np.logical_not(hit, out=hit), rest, out=held[: r - n_hit])
-        # The gathered update takes the matches at slot 1 and later. unmatched
-        # and hit0 never overlap, so they are equal (both False) just there.
-        gathered = np.equal(unmatched, hit0, out=s.m1)
-        n_u = np.count_nonzero(unmatched)
-        m = np.count_nonzero(gathered)
-        im = np.compress(gathered, s.index, out=s.i0[:m])
-        iu = np.compress(unmatched, s.index, out=s.i0[m : m + n_u])
-        fm = _take(jm, im, s.i1)
-        fm *= n
-        fm += im
 
-        # Unmatched pixels go to the next free slot, else to the lowest-weight
-        # one (the first on ties), chosen before any decay. A pixel that is
-        # not full gains the slot.
+        # Unmatched pixels go to the next free slot, else to the one of lowest
+        # decayed weight (the first on ties). A pixel that is not full gains
+        # the slot.
+        n_u = np.count_nonzero(unmatched)
+        iu = np.compress(unmatched, s.index, out=s.i0[:n_u])
         jt = _take(count, iu, s.i2)
         full = np.equal(jt, k, out=s.m1[:n_u])
         grown = np.add(jt, 1, out=s.i3[:n_u])
@@ -261,36 +246,6 @@ class FrameModel:
         to_replace = np.compress(full, iu, out=s.i3[:n_full])
         jt[full] = np.argmin(_take(w, to_replace, s.block, axis=1), axis=0)
         jm[iu] = jt
-
-        # Every pixel decays all its live weights. Dead slots stay 0.0, and
-        # an unmatched pixel's replaced slot is overwritten below. Slot 0 of
-        # the slot-0 matches decayed in the chunk pass; that of the other
-        # pixels, im and iu, side by side in i0, decays here.
-        w[1:] *= 1.0 - p.alpha
-        missed = s.i0[: m + n_u]
-        w_missed = _take(w_flat, missed, s.f0)
-        w_missed *= 1.0 - p.alpha
-        w_flat[missed] = w_missed
-
-        # Gathered matched pixels: reward the match, pull its mean and
-        # variance to z.
-        z_m = _take_rows(z, im, s.rows[0])
-        w_m = _take(w_flat, fm, s.f1)
-        w_m += p.alpha
-        w_flat[fm] = w_m
-        mu_j = _take(mu_flat, fm, s.rows[1], axis=1)
-        var_j = _take(var_flat, fm, s.f1)
-        if pdf_mode:
-            d2_m = s.f0[:m]
-            _sq_norm(np.subtract(z_m, mu_j, out=s.block[: 3 * m].reshape(3, m)), d2_m)
-            rho_j = _pdf_rho(var_j, d2_m, p.alpha, s.f2[:m], s.f3[:m])
-            keep = np.subtract(1.0, rho_j, out=s.f3[:m])
-        else:
-            rho_j = p.alpha
-            keep = 1.0 - p.alpha
-        _blend(mu_j, var_j, z_m, rho_j, keep, s.block[: 3 * m].reshape(3, m), z_m, s.f0[:m])
-        _put_planes(mu_flat, fm, mu_j)
-        var_flat[fm] = np.maximum(var_j, p.var_min, out=var_j)
 
         # Unmatched pixels: fresh component in the target slot, then
         # renormalize. Dead slots are exactly zero, so the slot-order sum
@@ -383,26 +338,23 @@ class _Scratch:
     """Work buffers of one FrameModel's observe(), each sized for all n
     pixels; a step over m pixels uses [:m] views. Steps that do not overlap
     share a buffer, so the set is smaller than the temporaries a frame
-    allocated without it: at k = 3, 148 bytes a pixel (index 8, block 24,
-    the two (3, n) rows 48, float 32, index 32, mask 3, hit0 1). The rows
-    hold a slot-0 chunk's samples and distances, and the gathered samples
-    and means, as float planes. hit0 holds the slot-0 matches from the
-    chunk pass, which also applies their weight step, to the selection of
-    the later-slot matches."""
+    allocated without it: at k = 3, 147 bytes a pixel (index 8, block 24,
+    the two (3, n) rows 48, float 32, index 32, mask 3). The rows hold, as
+    float planes, the samples of a slot-0 chunk or of the pixels a later
+    slot tests, and that slot's gathered means. m0 holds the pixels that
+    no slot has matched yet."""
 
     def __init__(self, k: int, n: int):
         self.index = np.arange(n)
-        # The slot-0 squared distances of a chunk, then the gathered
-        # weights of the slot choice and the renormalization, the z - mu
-        # and rho * z planes of the gathered update, and the ranks: (k, n)
-        # of every pixel, or (k, m) of the m <= n/2 multi-slot pixels followed
-        # by their weights.
+        # The z - mu and rho * z planes of _match_and_blend, then the
+        # gathered weights of the slot choice and the renormalization, and
+        # the ranks: (k, n) of every pixel, or (k, m) of the m <= n/2
+        # multi-slot pixels followed by their weights.
         self.block = np.empty(max(k, 3) * n)
         self.rows = np.empty((2, 3, n))
         self.f0, self.f1, self.f2, self.f3 = np.empty((4, n))
         self.i0, self.i1, self.i2, self.i3 = np.empty((4, n), dtype=np.int64)
         self.m0, self.m1, self.m2 = np.empty((3, n), dtype=bool)
-        self.hit0 = np.empty(n, dtype=bool)
 
 
 def _take(a: np.ndarray, idx: np.ndarray, buf: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -458,42 +410,51 @@ def _prefix(
     return np.minimum(b, count, out=b)
 
 
-def _pdf_rho(
-    var: np.ndarray, d2: np.ndarray, alpha: float, out: np.ndarray, tmp: np.ndarray
-) -> np.ndarray:
-    """out = alpha * GAUSS_NORM_3D * var**-1.5 * exp(-d2 / (2 var)), clipped
-    to [0, 1]; d2 is overwritten, tmp is a work buffer of the same size."""
-    np.power(var, -1.5, out=out)
-    out *= GAUSS_NORM_3D
-    np.negative(d2, out=d2)
-    d2 /= np.multiply(2.0, var, out=tmp)
-    out *= np.exp(d2, out=tmp)
-    out *= alpha
-    return np.clip(out, 0.0, 1.0, out=out)
-
-
-def _blend(
+def _match_and_blend(
     mu: np.ndarray,
     var: np.ndarray,
     z: np.ndarray,
-    rho: np.ndarray | float,
-    keep: np.ndarray | float,
-    rz: np.ndarray,
-    dn: np.ndarray,
-    d2n: np.ndarray,
+    hit: np.ndarray,
+    p: ModelParams,
+    diff: np.ndarray,
+    d2: np.ndarray,
+    fa: np.ndarray,
+    fb: np.ndarray,
 ) -> None:
-    """Pull the (3, m) mean planes mu and (m,) variances var toward the
-    sample planes z in place, by rho per pixel (keep = 1 - rho): mu = keep
-    mu + rho z, then var = keep var + rho |z - mu|^2 against the new mean,
-    before the floor. rz, dn and d2n are work buffers of the same sizes; dn
-    may be z itself, which is then overwritten, and z is only read
-    otherwise."""
+    """Test the (3, m) sample planes z against one slot's (3, m) mean planes
+    mu and (m,) variances var, and blend the matches in place.
+
+    hit becomes the match mask: |z - mu|^2 < d^2 var. A match pulls mu and
+    var toward z by rho: mu = (1 - rho) mu + rho z, then var = (1 - rho) var
+    + rho |z - mu|^2 against the new mean, floored at var_min. rho is alpha,
+    or in pdf mode alpha times the slot's density at z, clipped to [0, 1].
+    A miss gets rho 0.0 and floor 0.0, which keep its mean and variance
+    (module docstring). diff is a work buffer of z's shape, d2, fa and fb
+    of var's; z is only read.
+    """
+    _sq_norm(np.subtract(z, mu, out=diff), d2)
+    np.less(d2, np.multiply(p.d * p.d, var, out=fa), out=hit)
+    if p.rho_mode == PDF_FAITHFUL:
+        # alpha * GAUSS_NORM_3D * var**-1.5 * exp(-d2 / (2 var)) in this
+        # order, clipped, then zeroed at the misses.
+        rho = np.power(var, -1.5, out=fa)
+        rho *= GAUSS_NORM_3D
+        np.negative(d2, out=d2)
+        d2 /= np.multiply(2.0, var, out=fb)
+        rho *= np.exp(d2, out=fb)
+        rho *= p.alpha
+        np.clip(rho, 0.0, 1.0, out=rho)
+        rho *= hit
+    else:
+        rho = np.multiply(hit, p.alpha, out=fa)
+    keep = np.subtract(1.0, rho, out=fb)
     mu *= keep
-    mu += np.multiply(rho, z, out=rz)
-    _sq_norm(np.subtract(z, mu, out=dn), d2n)
-    d2n *= rho
+    mu += np.multiply(rho, z, out=diff)
+    _sq_norm(np.subtract(z, mu, out=diff), d2)
+    d2 *= rho
     var *= keep
-    var += d2n
+    var += d2
+    np.maximum(var, np.multiply(hit, p.var_min, out=d2), out=var)
 
 
 def _sq_norm(diff: np.ndarray, out: np.ndarray) -> None:

@@ -37,19 +37,16 @@ def oracle_step(comps, z, params):
             midx = i
             break
     if midx is None:
+        for c in comps:
+            c["w"] = c["w"] * (1.0 - alpha)
         target = {"w": params["w_init"], "m": [z[0], z[1], z[2]], "v": params["var_init"]}
         if len(comps) < params["k"]:
-            for c in comps:
-                c["w"] = c["w"] * (1.0 - alpha)
             comps.append(target)
         else:
             j = 0
             for i in range(1, len(comps)):
                 if comps[i]["w"] < comps[j]["w"]:
                     j = i
-            for i, c in enumerate(comps):
-                if i != j:
-                    c["w"] = c["w"] * (1.0 - alpha)
             comps[j] = target
         s = sum(c["w"] for c in comps)
         for c in comps:

@@ -34,7 +34,7 @@ def test_report_fields():
 
 def test_stage_split_covers_total():
     report = benchmark(spec=_small_spec(), reps=1)
-    assert set(report["stages"]) == set(STAGE_NAMES)
+    assert list(report["stages"]) == list(STAGE_NAMES)
     stage_sum = sum(report["stages"].values())
     assert 0.0 < stage_sum <= report["total_seconds"] * 1.05
 

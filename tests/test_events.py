@@ -72,7 +72,8 @@ def test_nearby_blob_continues_track():
     assert events == []
     assert len(tr.tracks) == 1
     assert tr.tracks[0].centroid == (14.0, 13.0)
-    assert tr.tracks[0].frames_seen == 2
+    assert tr.tracks[0].id == 1
+    assert tr.tracks[0].last_seen_frame == 1
 
 
 def test_far_blob_opens_new_track():
@@ -264,7 +265,7 @@ def test_association_matches_optimal_when_separated():
         by_id = {t.id: t for t in tr.tracks}
         for ti in range(n_tracks):
             track = by_id[id_by_index[ti]]
-            if track.last_seen_frame == 1 and track.frames_seen == 2:
+            if track.last_seen_frame == 1:
                 for bi, pt in enumerate(blob_pts):
                     if track.centroid == pt:
                         got.add((ti, bi))

@@ -14,10 +14,10 @@ import bgsub.frame_model
 from bgsub.frame_model import BLEND_CHUNK, MULTI_SLOT_FRACTION, FrameModel, _Scratch
 from bgsub.gmm import BACKGROUND, FIXED_ALPHA, FOREGROUND, PDF_FAITHFUL, ModelParams
 
-# A frame, or a chunk of one, is sparse when at most this fraction of its
-# pixels miss slot 0, and crowded otherwise. observe() blends slot 0 in
-# place on both; the streams below are described by it.
-SPARSE = 0.2
+# The streams below are described by how many pixels of a frame, or of a
+# chunk of one, miss slot 0: few when at most this fraction of them do,
+# many otherwise. Few misses leave the later slots little to test.
+FEW_MISSES = 0.2
 
 
 def _frame_stream(rng, n_pixels, n_frames):
@@ -48,14 +48,15 @@ def _oracle_state(states):
     return weights, mean_planes, variances
 
 
-def _static_stream(rng, n_pixels, n_frames, crowded=()):
+def _static_stream(rng, n_pixels, n_frames, busy=()):
     """Pixel streams that stay on their first mode on at least 90% of
-    pixels, so FrameModel tests later slots on gathered rows. Frames whose
-    index is in crowded draw every mode alike instead."""
+    pixels, so FrameModel tests later slots on few gathered rows. Frames
+    whose index is in busy draw every mode alike instead, so most pixels
+    miss slot 0."""
     frames = []
     modes = rng.uniform(0.0, 255.0, (3, n_pixels, 3))
     for f_idx in range(n_frames):
-        if f_idx in crowded:
+        if f_idx in busy:
             pick = rng.integers(0, 3, n_pixels)
         else:
             # The seed frame is all first mode; later ones mostly so.
@@ -130,8 +131,8 @@ def _check_against_oracle(p, frames, exact):
         # state only while variances are positive and no weight is -0.0.
         assert np.all(fm.variances > 0.0), f"frame {f_idx}"
         assert not np.any(np.signbit(fm.weights)), f"frame {f_idx}"
-        # observe() labels only the multi-slot pixels of a sparse frame: a
-        # pixel left with one live slot matched slot 0, the whole prefix.
+        # observe() may label only the multi-slot pixels: a pixel left with
+        # one live slot matched slot 0, the whole prefix.
         one = fm.live_count == 1
         assert np.all(labels[one] == BACKGROUND), f"frame {f_idx}"
         assert np.all(pos[one] == 0) and np.all(b[one] == 1), f"frame {f_idx}"
@@ -176,9 +177,9 @@ def test_equivalence_mostly_static_stream(k, rho_mode):
     p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
     frames = _static_stream(np.random.default_rng(31), 200, 60)
     first = _check_against_oracle(p, frames, exact=rho_mode == FIXED_ALPHA)
-    # Every frame is sparse, and each later slot that the three modes can
-    # fill does match.
-    assert np.all((first != 0).mean(axis=1) <= SPARSE)
+    # Every frame has few misses, and each later slot that the three modes
+    # can fill does match.
+    assert np.all((first != 0).mean(axis=1) <= FEW_MISSES)
     assert np.unique(first[first > 0]).tolist() == list(range(1, min(k, 3)))
 
 
@@ -186,46 +187,46 @@ def test_equivalence_mostly_static_stream(k, rho_mode):
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_equivalence_switching_sparse_and_crowded(k, rho_mode):
     p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
-    crowded = {5, 6, 17, 30, 31, 32, 45}
-    frames = _static_stream(np.random.default_rng(32), 200, 60, crowded)
+    busy = {5, 6, 17, 30, 31, 32, 45}
+    frames = _static_stream(np.random.default_rng(32), 200, 60, busy)
     first = _check_against_oracle(p, frames, exact=rho_mode == FIXED_ALPHA)
-    sparse = (first != 0).mean(axis=1) <= SPARSE
-    # The one chunk switches often, both ways, between sparse and crowded,
-    # and blends slot 0 in place on either.
-    assert np.count_nonzero(np.diff(sparse.astype(int))) >= 6
-    assert not any(sparse[f - 1] for f in crowded)
+    few = (first != 0).mean(axis=1) <= FEW_MISSES
+    # The one chunk switches often, both ways, between few and many misses.
+    assert np.count_nonzero(np.diff(few.astype(int))) >= 6
+    assert not any(few[f - 1] for f in busy)
     if k > 2:
-        # Crowded frames test the later slots on gathered rows too, down
-        # to slot 2 and beyond.
-        deep = [f for f in sorted(crowded) if np.any(first[f - 1] >= 2)]
+        # Busy frames test the later slots on many gathered rows, down to
+        # slot 2 and beyond.
+        deep = [f for f in sorted(busy) if np.any(first[f - 1] >= 2)]
         assert len(deep) >= 5, deep
 
 
 def _chunk_paths(monkeypatch, p, frames):
     """Run FrameModel over frames; for each frame after the seed, return
-    the starts of the chunks that observe() blended in place, the starts
-    of the sparse chunks, whether the frame is sparse, the share of pixels
-    with two or more live slots after the frame, and how many pixels the
-    background prefix covered."""
+    the starts of the chunks whose slot 0 observe() matched and blended in
+    place, the starts of the chunks with few misses, whether the frame has
+    few misses, the share of pixels with two or more live slots after the
+    frame, and how many pixels the background prefix covered."""
     n = len(frames[0])
     fm = FrameModel(p, n)
     fm.observe(frames[0])
-    blend, prefix = bgsub.frame_model._blend, bgsub.frame_model._prefix
+    match_and_blend, prefix = bgsub.frame_model._match_and_blend, bgsub.frame_model._prefix
     starts, widths = [], []
 
     def spy(mu, *args):
-        # The in-place blend works on slices of the model's own mean planes;
-        # a slice's byte offset over the pixel stride is its first pixel.
+        # Slot 0 is matched and blended on slices of the model's own mean
+        # planes, the later slots on gathered copies; a slice's byte offset
+        # over the pixel stride is its first pixel.
         if np.may_share_memory(mu, fm.mean_planes):
             offset = mu.ctypes.data - fm.mean_planes.ctypes.data
             starts.append(offset // fm.mean_planes.strides[2])
-        blend(mu, *args)
+        match_and_blend(mu, *args)
 
     def prefix_spy(w, *args):
         widths.append(w.shape[1])
         return prefix(w, *args)
 
-    monkeypatch.setattr(bgsub.frame_model, "_blend", spy)
+    monkeypatch.setattr(bgsub.frame_model, "_match_and_blend", spy)
     monkeypatch.setattr(bgsub.frame_model, "_prefix", prefix_spy)
     n_chunks = max(1, round(n / bgsub.frame_model.BLEND_CHUNK))
     bounds = [i * n // n_chunks for i in range(n_chunks + 1)]
@@ -234,27 +235,28 @@ def _chunk_paths(monkeypatch, p, frames):
         starts.clear()
         widths.clear()
         miss = _first_match(fm, z) != 0
-        few = [a for a, b in zip(bounds, bounds[1:]) if miss[a:b].mean() <= SPARSE]
+        few = [a for a, b in zip(bounds, bounds[1:]) if miss[a:b].mean() <= FEW_MISSES]
         fm.observe(z)
         share = np.count_nonzero(fm.live_count > 1) / n
-        runs.append((list(starts), few, miss.mean() <= SPARSE, share, widths[0]))
+        runs.append((list(starts), few, miss.mean() <= FEW_MISSES, share, widths[0]))
     return runs
 
 
 @pytest.mark.parametrize("rho_mode", [FIXED_ALPHA, PDF_FAITHFUL])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_equivalence_chunks_in_place_and_gathered(monkeypatch, k, rho_mode):
-    # 37 does not divide 200: five chunks of 40. Every chunk blends slot 0
-    # in place on every frame, sparse and crowded chunks side by side, on
-    # sparse and on crowded frames, while the share of pixels with two or
-    # more live slots rises through MULTI_SLOT_FRACTION.
+    # 37 does not divide 200: five chunks of 40. Every chunk matches and
+    # blends slot 0 in place on every frame, chunks with few and with many
+    # misses side by side, on frames with few and with many misses, while
+    # the share of pixels with two or more live slots rises through
+    # MULTI_SLOT_FRACTION.
     monkeypatch.setattr(bgsub.frame_model, "BLEND_CHUNK", 37)
     p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
     frames = _patchy_stream(np.random.default_rng(51), 200, 60)
     _check_against_oracle(p, frames, exact=rho_mode == FIXED_ALPHA)
     runs = _chunk_paths(monkeypatch, p, frames)
     assert all(starts == [0, 40, 80, 120, 160] for starts, _, _, _, _ in runs)
-    mixed = [sparse for _, few, sparse, _, _ in runs if 0 < len(few) < 5]
+    mixed = [few_frame for _, few, few_frame, _, _ in runs if 0 < len(few) < 5]
     assert mixed.count(True) >= 20 and mixed.count(False) >= 5
     # The prefix covers just the multi-slot pixels while they are few
     # enough, and every pixel after that.
@@ -295,10 +297,10 @@ def test_path_choice_keeps_state(monkeypatch, k, rho_mode):
 def test_uint8_rows_give_the_float_run(monkeypatch, k, rho_mode):
     # FramePipeline hands each band model the frame's own uint8 rows. observe
     # converts each slot-0 chunk's rows into float64 planes, and the later
-    # slots' test, the gathered blend and the fresh-slot fill gather uint8
-    # rows and convert those; uint8 converts to float64 exactly, so the run
-    # equals the one on the same values as float rows, bit for bit. The
-    # patchy stream reaches all three gathers. Chunks of 1 and 37 pixels
+    # slots' match-and-blend and the fresh-slot fill gather uint8 rows and
+    # convert those; uint8 converts to float64 exactly, so the run equals
+    # the one on the same values as float rows, bit for bit. The patchy
+    # stream reaches both gathers. Chunks of 1 and 37 pixels
     # make many chunks, and the rows also come as a view into wider rows,
     # neither C- nor F-contiguous.
     p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
@@ -322,8 +324,8 @@ def test_uint8_rows_give_the_float_run(monkeypatch, k, rho_mode):
 def test_work_buffers_do_not_grow():
     # The gathered sort keeps its ranks and weights in the float block, and
     # each slot-0 chunk converts its samples into the plane buffers, so a
-    # k = 3 model's work buffers stay at 148 bytes a pixel, with no float64
-    # copy of the frame.
+    # k = 3 model's work buffers stay within 148 bytes a pixel, with no
+    # float64 copy of the frame.
     n = 1000
     total = sum(a.nbytes for a in vars(_Scratch(3, n)).values())
     assert total <= 148 * n
@@ -336,36 +338,36 @@ def test_variance_floor_spares_unmatched_slot_0(k, rho_mode):
     # frame and after a replacement at k = 1, so pixels that miss it keep
     # a slot-0 variance under the floor that must not be raised, while
     # their neighbours that match slot 0 are floored in place. In the
-    # sparse stream, 12% of the pixels jump far from their seed value on
-    # frame 1; the crowded stream has frames where most pixels miss.
+    # first stream, 12% of the pixels jump far from their seed value on
+    # frame 1; the second has frames where most pixels miss.
     p = ModelParams(k=k, alpha=0.03, var_init=100.0, var_min=150.0, rho_mode=rho_mode)
     rng = np.random.default_rng(33)
     frames = _static_stream(rng, 200, 40)
     jump = rng.random(200) < 0.12
     z = frames[1][jump]
     frames[1][jump] = np.where(z < 128.0, z + 80.0, z - 80.0)
-    crowded = _static_stream(rng, 200, 40, crowded={1, 2, 9, 21, 22})
-    for stream, sparse in ((frames, True), (crowded, False)):
+    busy = _static_stream(rng, 200, 40, busy={1, 2, 9, 21, 22})
+    for stream, few in ((frames, True), (busy, False)):
         first = _check_against_oracle(p, stream, exact=rho_mode == FIXED_ALPHA)
-        assert np.all((first != 0).mean(axis=1) <= SPARSE) == sparse
+        assert np.all((first != 0).mean(axis=1) <= FEW_MISSES) == few
         fm = FrameModel(p, len(stream[0]))
         fm.observe(stream[0])
         low_misses = 0
         for z in stream[1:]:
             low_misses += np.count_nonzero((_first_match(fm, z) != 0) & (fm.variances[0] < p.var_min))
             fm.observe(z)
-        assert low_misses >= (20 if sparse else 100)
+        assert low_misses >= (20 if few else 100)
         if k > 1:
             assert np.count_nonzero(first > 0) >= 20
 
 
-@pytest.mark.parametrize("crowded", [False, True])
-def test_samples_are_only_read(crowded):
-    # observe() may not write into z, on sparse frames or on crowded ones:
-    # a read-only z must give the same run as a writable one.
+@pytest.mark.parametrize("busy", [False, True])
+def test_samples_are_only_read(busy):
+    # observe() may not write into z, on frames with few misses or with
+    # many: a read-only z must give the same run as a writable one.
     rng = np.random.default_rng(44)
     n = 300
-    frames = _frame_stream(rng, n, 8) if crowded else _static_stream(rng, n, 8)
+    frames = _frame_stream(rng, n, 8) if busy else _static_stream(rng, n, 8)
     for rho_mode in (FIXED_ALPHA, PDF_FAITHFUL):
         p = ModelParams(k=3, alpha=0.3, rho_mode=rho_mode)
         want = _run_alone(p, [z.copy() for z in frames])
@@ -374,7 +376,7 @@ def test_samples_are_only_read(crowded):
         for f_idx, z in enumerate(frames):
             if f_idx == 3:
                 misses = (_first_match(fm, z) != 0).mean()
-                assert (misses > SPARSE) == crowded
+                assert (misses > FEW_MISSES) == busy
             z = z.copy()
             z.flags.writeable = False
             outs.append(fm.observe(z))
@@ -565,18 +567,18 @@ def _state(fm):
     return [a.copy() for a in (fm.weights, fm.mean_planes, fm.variances, fm.live_count)]
 
 
-@pytest.mark.parametrize("crowded", [False, True])
-def test_results_stay_caller_owned(crowded):
+@pytest.mark.parametrize("busy", [False, True])
+def test_results_stay_caller_owned(busy):
     # observe() works in buffers it keeps between frames; what it returns
-    # must not be one of them, on sparse frames or on crowded ones.
+    # must not be one of them, on frames with few misses or with many.
     rng = np.random.default_rng(41)
     n = 300
-    frames = _frame_stream(rng, n, 8) if crowded else _static_stream(rng, n, 8)
+    frames = _frame_stream(rng, n, 8) if busy else _static_stream(rng, n, 8)
     fm = FrameModel(ModelParams(k=3, alpha=0.3), n)
     for z in frames[:3]:
         fm.observe(z)
     misses = (_first_match(fm, frames[3]) != 0).mean()
-    assert (misses > SPARSE) == crowded
+    assert (misses > FEW_MISSES) == busy
     kept = fm.observe(frames[3])
     copies = [a.copy() for a in kept]
     later = [a for z in frames[4:6] for a in fm.observe(z)]
@@ -609,7 +611,7 @@ def test_models_share_no_buffers(k, rho_mode):
     # do with workers > 1.
     p = ModelParams(k=k, alpha=0.03, rho_mode=rho_mode)
     rng = np.random.default_rng(43)
-    streams = [_frame_stream(rng, 90, 30), _static_stream(rng, 140, 30, crowded={9, 10, 20})]
+    streams = [_frame_stream(rng, 90, 30), _static_stream(rng, 140, 30, busy={9, 10, 20})]
     alone = [_run_alone(p, frames) for frames in streams]
 
     models = [FrameModel(p, len(frames[0])) for frames in streams]

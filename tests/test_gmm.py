@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from oracles import oracle_init, oracle_params, oracle_step
-from pixel_states import load_states, pixel_state, step
+from pixel_states import load_states, oracle_params_of, pixel_state, step
 
 from bgsub.frame_model import FrameModel
 from bgsub.gmm import BACKGROUND, FIXED_ALPHA, FOREGROUND, PDF_FAITHFUL, ModelParams
@@ -215,6 +215,29 @@ def test_update_on_no_match_replaces_lowest_weight_first_on_tie():
     survivors = [c["m"] for c in pixel_state(fm, 0)]
     assert [80.0, 80.0, 80.0] in survivors  # first of the tie was replaced
     assert [0.0, 0.0, 0.0] not in survivors
+
+
+def test_update_on_no_match_replaces_lowest_decayed_weight():
+    # The two lighter weights are one ulp apart and decay to the same
+    # float. Every weight decays before the slot to replace is chosen, so
+    # the first of that tie, mean 100, is replaced, not mean 150, whose
+    # weight was the lower one before the decay.
+    p = ModelParams(k=3, alpha=0.01)
+    specs = [
+        (0.4544602805591598, (50.0,) * 3, 25.0),
+        (0.2727698597204201, (100.0,) * 3, 25.0),
+        (0.27276985972042006, (150.0,) * 3, 25.0),
+    ]
+    w1, w2 = specs[1][0], specs[2][0]
+    assert np.nextafter(w2, 1.0) == w1 and w1 * (1.0 - p.alpha) == w2 * (1.0 - p.alpha)
+    fm = _pixel(p, *specs)
+    got = step(fm, (250.0, 0.0, 250.0))
+    means = [c["m"] for c in pixel_state(fm, 0)]
+    assert [150.0] * 3 in means and [100.0] * 3 not in means
+    comps = [{"w": w, "m": list(m), "v": v} for w, m, v in specs]
+    comps, label, pos, b = oracle_step(comps, [250.0, 0.0, 250.0], oracle_params_of(p))
+    assert got == (label, pos, b)
+    assert pixel_state(fm, 0) == comps
 
 
 # In the background-prefix examples the value matches slot 0, whose
