@@ -41,7 +41,7 @@ leave those pixels exactly as they were. The variance floor is plain
 arithmetic as well, not a masked ufunc, which runs about ten times slower
 on a noisy mask: a miss is floored at 0.0, which keeps its variance,
 since variances are always positive (even a fresh var_init below
-var_min). Each chunk first decays all k weights of its pixels, then runs
+var_min). Each chunk first decays its pixels' slots below kl, then runs
 the helper on its dense slot-0 rows directly, and adds alpha to the
 slot-0 weights of its matches (0.0 elsewhere, which keeps a weight, since
 no weight is ever -0.0), all while the chunk is in cache. The later slots
@@ -66,7 +66,25 @@ swapped alongside their ranks), and every other pixel gets b = 1 and
 the background label.
 
 Slots beyond a pixel's live count hold weight exactly 0.0 and never
-influence sums, matching or the background prefix.
+influence sums, matching or the background prefix. So every slot loop of
+a frame stops at kl, the highest live count: read off live_count when
+observe() starts and raised to the grown counts' maximum after the
+fresh-slot step. The weight decay, the later-slot tests, the
+renormalization, the rank rows, the compare-exchange network and the
+prefix then touch only slots below kl, and the state is what all k slots
+give: a dead weight decays from 0.0 to 0.0, adds 0.0 to a live sum,
+ranks 0.0, never strictly above a live rank (>= 0.0), so the network
+never swaps it, and np.minimum(b, count) caps a prefix count that runs
+past the live count. Only the choice of the slot to replace reads all k
+weights, and it runs on full pixels, which make kl equal k. The bound
+pays while no pixel has all k slots live, as on every frame of a steady
+scene; a busy scene fills them within a few frames and gains little.
+
+The live counts, and the positions and prefixes observe() returns, hold
+values of at most k, so they are uint8, one byte a pixel, and
+ModelParams refuses k > 255. They are gathered into uint8 views of the
+mask work buffers, since np.take will not write into an out= of another
+dtype. Flat indices (slot * n + pixel) stay int64.
 
 Each FrameModel owns the work buffers of its observe() calls: a float
 block, two (3, n) plane buffers, and n-sized float, index and mask
@@ -123,7 +141,8 @@ class FrameModel:
 
     Arrays are indexed [slot, pixel] and updated in place by observe();
     mean_planes, the (3, k, n) channel planes of the means, is indexed
-    [channel, slot, pixel]. All of them stay C-contiguous. Slots are kept
+    [channel, slot, pixel]. live_count, the live slots of each pixel, is
+    uint8. All of them stay C-contiguous. Slots are kept
     sorted per pixel by weight/sigma, highest first; equal ranks keep
     their slot order. The first observe() call seeds every pixel with a
     single component and classifies everything as background.
@@ -138,7 +157,7 @@ class FrameModel:
         self.weights = np.zeros((k, n_pixels), dtype=np.float64)
         self.mean_planes = np.zeros((3, k, n_pixels), dtype=np.float64)
         self.variances = np.full((k, n_pixels), params.var_init, dtype=np.float64)
-        self.live_count = np.zeros(n_pixels, dtype=np.int64)
+        self.live_count = np.zeros(n_pixels, dtype=np.uint8)
         self.started = False
         self._scratch: _Scratch | None = None
 
@@ -161,7 +180,7 @@ class FrameModel:
             self.live_count[:] = 1
             self.started = True
             labels = np.full(n, BACKGROUND, dtype=np.uint8)
-            return labels, np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+            return labels, np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8)
 
         if self._scratch is None:
             self._scratch = _Scratch(p.k, n)
@@ -175,6 +194,11 @@ class FrameModel:
         mu_flat = self.mean_planes.reshape(3, -1)
         w_flat = w.reshape(-1)
         var_flat = var.reshape(-1)
+        # Counts and positions are gathered into uint8 views of the mask
+        # buffers. kl, the highest live count, bounds every slot loop below
+        # (module docstring).
+        u0, u2 = s.m0.view(np.uint8), s.m2.view(np.uint8)
+        kl = int(count.max())
 
         # Every weight decays, and slot 0 is live for every started pixel:
         # each chunk decays its pixels' weights and tests and blends slot 0
@@ -186,7 +210,7 @@ class FrameModel:
         for i in range(n_chunks):
             cut = slice(i * n // n_chunks, (i + 1) * n // n_chunks)
             c = cut.stop - cut.start
-            w[:, cut] *= 1.0 - p.alpha
+            w[:kl, cut] *= 1.0 - p.alpha
             # The chunk's samples as float planes, converted while in cache.
             z_c = s.rows[0, :, :c]
             np.copyto(z_c, z[cut].T)
@@ -203,11 +227,11 @@ class FrameModel:
         # rows, which are blended as slot 0 is, then scattered back; its
         # matches gain alpha. rest moves between two index buffers, since a
         # compaction cannot write over its own input.
-        jm = np.zeros(n, dtype=np.int64)
+        jm = np.zeros(n, dtype=np.uint8)
         held, spare = s.i0, s.i1
         rest = np.compress(unmatched, s.index, out=held[:n_miss])
-        for j in range(1, k):
-            live = np.greater(_take(count, rest, s.i2), j, out=s.m1[: rest.size])
+        for j in range(1, kl):
+            live = np.greater(_take(count, rest, u2), j, out=s.m1[: rest.size])
             r = np.count_nonzero(live)
             if not r:
                 break
@@ -235,13 +259,16 @@ class FrameModel:
 
         # Unmatched pixels go to the next free slot, else to the one of lowest
         # decayed weight (the first on ties). A pixel that is not full gains
-        # the slot.
+        # the slot, which may raise kl.
         n_u = np.count_nonzero(unmatched)
         iu = np.compress(unmatched, s.index, out=s.i0[:n_u])
-        jt = _take(count, iu, s.i2)
+        jt = _take(count, iu, u2)
         full = np.equal(jt, k, out=s.m1[:n_u])
-        grown = np.add(jt, 1, out=s.i3[:n_u])
-        count[iu] = np.minimum(grown, k, out=grown)
+        # min(count, k - 1) + 1, which cannot wrap past 255 as count + 1 can.
+        grown = np.minimum(jt, k - 1, out=u0[:n_u])
+        grown += 1
+        count[iu] = grown
+        kl = int(grown.max(initial=kl))
         n_full = np.count_nonzero(full)
         to_replace = np.compress(full, iu, out=s.i3[:n_full])
         jt[full] = np.argmin(_take(w, to_replace, s.block, axis=1), axis=0)
@@ -250,19 +277,19 @@ class FrameModel:
         # Unmatched pixels: fresh component in the target slot, then
         # renormalize. Dead slots are exactly zero, so the slot-order sum
         # equals the sum over live slots and dividing them leaves zero.
-        ft = jt
-        ft *= n
+        # Flat indices are int64.
+        ft = np.multiply(jt, np.int64(n), out=s.i2[:n_u])
         ft += iu
         w_flat[ft] = p.w_init
         _put_planes(mu_flat, ft, _take_rows(z, iu, s.rows[0]))
         var_flat[ft] = p.var_init
-        w_u = _take(w, iu, s.block, axis=1)
+        w_u = _take(w[:kl], iu, s.block, axis=1)
         total = s.f0[:n_u]
         np.copyto(total, w_u[0])
-        for j in range(1, k):
+        for j in range(1, kl):
             total += w_u[j]
         w_u /= total
-        w[:, iu] = w_u
+        w[:kl, iu] = w_u
 
         # Stable sort by rank, highest first: an adjacent compare-exchange
         # (bubble) network that swaps only where the lower slot ranks
@@ -271,7 +298,7 @@ class FrameModel:
         # live slot, whose rank is >= 0.0, so they never move up. pos
         # follows the absorbing component through the swaps. While few
         # pixels have two or more live slots, only those are ranked (module
-        # docstring): their ranks in block[:k * n_multi], their weights
+        # docstring): their ranks in block[:kl * n_multi], their weights
         # after them, swapped alongside the ranks for the prefix.
         pos = jm
         multi = np.greater(count, 1, out=s.m1)
@@ -279,16 +306,16 @@ class FrameModel:
         multi_only = n_multi <= MULTI_SLOT_FRACTION * n
         if multi_only:
             pix = np.compress(multi, s.index, out=s.i3[:n_multi])
-            rank = _take(var, pix, s.block, axis=1)
+            rank = _take(var[:kl], pix, s.block, axis=1)
             np.sqrt(rank, out=rank)
-            w_multi = _take(w, pix, s.block[k * n_multi :], axis=1)
+            w_multi = _take(w[:kl], pix, s.block[kl * n_multi :], axis=1)
             np.divide(w_multi, rank, out=rank)
         else:
-            rank = np.sqrt(var, out=s.block[: k * n].reshape(k, n))
-            np.divide(w, rank, out=rank)
+            rank = np.sqrt(var[:kl], out=s.block[: kl * n].reshape(kl, n))
+            np.divide(w[:kl], rank, out=rank)
         size = rank.shape[1]
         rank_flat = rank.reshape(-1)
-        for top in range(k - 1, 0, -1):
+        for top in range(kl - 1, 0, -1):
             for a in range(top):
                 up = np.greater(rank[a + 1], rank[a], out=s.m1[:size])
                 n_sw = np.count_nonzero(up)
@@ -307,7 +334,7 @@ class FrameModel:
                 for a_flat in (w_flat, var_flat, *mu_flat):
                     _swap(a_flat, fa, fb, s.f0, s.f1)
                 # pos a becomes a + 1 and pos a + 1 becomes a.
-                pos_sw = _take(pos, sw, s.i2)
+                pos_sw = _take(pos, sw, u0)
                 to_b = np.equal(pos_sw, a, out=s.m1[:n_sw])
                 to_a = np.equal(pos_sw, a + 1, out=s.m2[:n_sw])
                 pos_sw += to_b
@@ -320,14 +347,14 @@ class FrameModel:
         # foreground where its match sits at or after the prefix. One live
         # slot means a match at slot 0 of a prefix of 1: background.
         if multi_only:
-            b = np.ones(n, dtype=np.int64)
-            b_multi = _prefix(w_multi, p.t, _take(count, pix, s.i0), s.i1[:n_multi], s.f0, s.m1)
+            b = np.ones(n, dtype=np.uint8)
+            b_multi = _prefix(w_multi, p.t, _take(count, pix, u0), u2[:n_multi], s.f0, s.m1)
             b[pix] = b_multi
-            fg = np.greater_equal(_take(pos, pix, s.i0), b_multi, out=s.m1[:n_multi])
+            fg = np.greater_equal(_take(pos, pix, u0), b_multi, out=s.m1[:n_multi])
             labels = np.full(n, BACKGROUND, dtype=np.uint8)
             labels[np.compress(fg, pix, out=s.i2[: np.count_nonzero(fg)])] = FOREGROUND
         else:
-            b = _prefix(w, p.t, count, np.empty(n, dtype=np.int64), s.f0, s.m1)
+            b = _prefix(w[:kl], p.t, count, np.empty(n, dtype=np.uint8), s.f0, s.m1)
             labels = np.where(
                 np.less(pos, b, out=s.m1), np.uint8(BACKGROUND), np.uint8(FOREGROUND)
             )
@@ -403,7 +430,7 @@ def _prefix(
     m = b.size
     running = running[:m]
     np.copyto(running, w[0])
-    np.add(np.less_equal(running, t, out=mask[:m]), 1, out=b)
+    np.add(np.less_equal(running, t, out=mask[:m]), np.uint8(1), out=b)
     for j in range(1, len(w)):
         running += w[j]
         b += np.less_equal(running, t, out=mask[:m])

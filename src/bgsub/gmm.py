@@ -43,8 +43,9 @@ class ModelParams:
     rho_mode: str = FIXED_ALPHA
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        # The frame model keeps live counts and slot positions in uint8.
+        if not 1 <= self.k <= 255:
+            raise ValueError(f"k must be in [1, 255], got {self.k}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 < self.t < 1.0:

@@ -227,6 +227,15 @@ def test_load_config_top_level_not_object(tmp_path):
         load_config(path)
 
 
+def test_load_config_k_range(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": {"k": 255}}))
+    assert load_config(path).model.k == 255
+    path.write_text(json.dumps({"model": {"k": 256}}))
+    with pytest.raises(ValueError, match=r"config\.model: k must be in \[1, 255\], got 256"):
+        load_config(path)
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_config(tmp_path / "nope.json")

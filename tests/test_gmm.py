@@ -56,11 +56,33 @@ def test_init_at_black():
         {"w_init": 1.5},
         {"var_min": 0.0},
         {"rho_mode": "adaptive"},
+        {"k": 256},
     ],
 )
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         ModelParams(**kwargs)
+
+
+def test_k_255_fills_one_byte_counts_and_positions():
+    # Live counts and slot positions are uint8, so k = 255 is the largest
+    # model. A pixel with all 255 slots live matches its last one, which
+    # moves up to position 0, then misses them all and replaces one. Both
+    # steps equal the oracle's.
+    p = ModelParams(k=255, alpha=0.05, var_init=0.1, var_min=0.1)
+    total = 255 * 256 / 2
+    comps = [{"w": (255 - i) / total, "m": [float(i)] * 3, "v": 0.1} for i in range(255)]
+    fm = FrameModel(p, 1)
+    load_states(fm, [comps])
+    positions = []
+    for z in ([254.0] * 3, [255.0] * 3):
+        got = step(fm, z)
+        comps, label, pos, b = oracle_step(comps, z, oracle_params_of(p))
+        assert got == (label, pos, b)
+        assert fm.live_count[0] == 255
+        assert pixel_state(fm, 0) == comps
+        positions.append(pos)
+    assert positions[0] == 0
 
 
 def test_match_within_radius():
