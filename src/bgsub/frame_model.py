@@ -57,13 +57,14 @@ miss slot 0 pays for blending them all; no benchmark frame is like that.
 The per-pixel rank order is restored by a network of adjacent
 compare-exchange steps that swap only on a strictly higher rank, which
 keeps ties in their slot order exactly as a stable sort does. A pixel
-with one live slot is never swapped, its background prefix is 1 and,
-since that slot is the one it matched, it is background. So while at
-most MULTI_SLOT_FRACTION of the pixels have two or more live slots, as
-read off live_count each frame, the network, the prefix and the labels
+with one live slot is never swapped, and its background prefix is 1.
+So while at most MULTI_SLOT_FRACTION of the pixels have two or more live
+slots, as read off live_count each frame, the network and the prefix
 run only on those pixels, gathered once by index (their weights are
-swapped alongside their ranks), and every other pixel gets b = 1 and
-the background label.
+swapped alongside their ranks), and every other pixel gets b = 1. The
+labels then take one comparison over every pixel on either path: a
+pixel is foreground where its match sits at or after its prefix, so a
+one-slot pixel, which matched slot 0, is background.
 
 Slots beyond a pixel's live count hold weight exactly 0.0 and never
 influence sums, matching or the background prefix. So every slot loop of
@@ -343,21 +344,16 @@ class FrameModel:
 
         # Background prefix: the first slot whose running weight sum exceeds
         # t. The sum never falls, so that slot's index is the number of
-        # sums at or below t; the live count is the fallback. A pixel is
-        # foreground where its match sits at or after the prefix. One live
-        # slot means a match at slot 0 of a prefix of 1: background.
+        # sums at or below t; the live count is the fallback. One live slot
+        # means a match at slot 0 of a prefix of 1.
         if multi_only:
             b = np.ones(n, dtype=np.uint8)
-            b_multi = _prefix(w_multi, p.t, _take(count, pix, u0), u2[:n_multi], s.f0, s.m1)
-            b[pix] = b_multi
-            fg = np.greater_equal(_take(pos, pix, u0), b_multi, out=s.m1[:n_multi])
-            labels = np.full(n, BACKGROUND, dtype=np.uint8)
-            labels[np.compress(fg, pix, out=s.i2[: np.count_nonzero(fg)])] = FOREGROUND
+            b[pix] = _prefix(w_multi, p.t, _take(count, pix, u0), u2[:n_multi], s.f0, s.m1)
         else:
             b = _prefix(w[:kl], p.t, count, np.empty(n, dtype=np.uint8), s.f0, s.m1)
-            labels = np.where(
-                np.less(pos, b, out=s.m1), np.uint8(BACKGROUND), np.uint8(FOREGROUND)
-            )
+        # A pixel is foreground where its match sits at or after the prefix;
+        # BACKGROUND is 0. The uint8 scalar keeps the labels uint8.
+        labels = np.multiply(np.greater_equal(pos, b, out=s.m1), np.uint8(FOREGROUND))
         return labels, pos, b
 
 

@@ -13,6 +13,8 @@ paints, by index, only its foreground and shadow pixels.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedHeader, TruncatedPayload, UnsupportedMaxval
@@ -22,7 +24,10 @@ from .shadow import SHADOW
 OVERLAY_FOREGROUND = (255, 0, 0)
 OVERLAY_SHADOW = (0, 255, 0)
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# Blanks or comments, then the token after them: a run of bytes that are
+# neither, empty only at the end of the data. In a bytes pattern, \s is the
+# six ASCII whitespace bytes.
+_TOKEN = re.compile(rb"(?:\s+|#[^\n\r]*)*([^\s#]*)")
 
 
 def _read_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]:
@@ -31,24 +36,16 @@ def _read_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]:
         raise MalformedHeader(f"expected {magic.decode()} magic, got {data[:2]!r}")
     pos = len(magic)
     values = []
-    n = len(data)
-    while len(values) < 3:
-        while pos < n and data[pos : pos + 1] in _WHITESPACE:
-            pos += 1
-        if pos < n and data[pos : pos + 1] == b"#":
-            while pos < n and data[pos] not in (0x0A, 0x0D):
-                pos += 1
-            continue
-        start = pos
-        while pos < n and data[pos : pos + 1] not in _WHITESPACE and data[pos : pos + 1] != b"#":
-            pos += 1
+    for _ in range(3):
+        start, pos = _TOKEN.match(data, pos).span(1)
         token = data[start:pos]
         if not token:
             raise MalformedHeader("header ended before width, height and maxval")
         if not token.isdigit():
             raise MalformedHeader(f"non-numeric header token {token!r}")
         values.append(int(token))
-    if pos >= n or data[pos : pos + 1] not in _WHITESPACE:
+    # b"".isspace() is False, so a header that ends at maxval is refused.
+    if not data[pos : pos + 1].isspace():
         raise MalformedHeader("missing whitespace between maxval and payload")
     width, height, maxval = values
     if width < 1 or height < 1:

@@ -327,16 +327,17 @@ def test_work_buffers_do_not_grow():
     # k = 3 model's work buffers stay within 148 bytes a pixel, with no
     # float64 copy of the frame. Its state holds 121 bytes a pixel: 120 of
     # float64 weights, means and variances and a one-byte live count. The
-    # positions and prefixes it returns are one byte a pixel as well, on
-    # the seeding frame, the multi-slot-only path and the every-pixel one.
+    # labels, positions and prefixes it returns are one byte a pixel as
+    # well, on the seeding frame, the multi-slot-only path and the
+    # every-pixel one.
     n = 1000
     total = sum(a.nbytes for a in vars(_Scratch(3, n)).values())
     assert total <= 148 * n
     fm = FrameModel(ModelParams(k=3), n)
     frames = [np.full((n, 3), 100.0)] * 2 + [np.full((n, 3), 200.0)]
     for z in frames:
-        _, pos, b = fm.observe(z)
-        assert pos.dtype == b.dtype == np.uint8
+        labels, pos, b = fm.observe(z)
+        assert labels.dtype == pos.dtype == b.dtype == np.uint8
     assert np.all(fm.live_count == 2)
     state = (fm.weights, fm.mean_planes, fm.variances, fm.live_count)
     assert sum(a.nbytes for a in state) == 121 * n

@@ -34,6 +34,9 @@ def test_decode_ppm_header_comments():
     data = b"P6 # magic\n# a comment line\n2 # width\n1\n# another\n255\n" + bytes(6)
     img = decode_ppm(data)
     assert img.shape == (1, 2, 3)
+    # A comment glued to the end of a token, and one right after the magic.
+    for header in (b"P6 2#w\n1 255\n", b"P6#c\n2 1 255\n"):
+        assert decode_ppm(header + bytes(6)).shape == (1, 2, 3)
 
 
 def test_decode_ppm_crlf_and_tabs():
