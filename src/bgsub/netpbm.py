@@ -43,7 +43,11 @@ def _read_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]:
             raise MalformedHeader("header ended before width, height and maxval")
         if not token.isdigit():
             raise MalformedHeader(f"non-numeric header token {token!r}")
-        values.append(int(token))
+        try:
+            values.append(int(token))
+        except ValueError:
+            # More digits than Python converts (sys.get_int_max_str_digits).
+            raise MalformedHeader(f"header token of {len(token)} digits is too long") from None
     # b"".isspace() is False, so a header that ends at maxval is refused.
     if not data[pos : pos + 1].isspace():
         raise MalformedHeader("missing whitespace between maxval and payload")

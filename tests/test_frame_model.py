@@ -204,23 +204,29 @@ def test_equivalence_switching_sparse_and_crowded(k, rho_mode):
 def _chunk_paths(monkeypatch, p, frames):
     """Run FrameModel over frames; for each frame after the seed, return
     the starts of the chunks whose slot 0 observe() matched and blended in
-    place, the starts of the chunks with few misses, whether the frame has
-    few misses, the share of pixels with two or more live slots after the
-    frame, and how many pixels the background prefix covered."""
+    place, the starts of the chunks with few misses, the starts of those
+    where every pixel matched slot 0, whether the frame has few misses,
+    the share of pixels with two or more live slots after the frame, and
+    how many pixels the background prefix covered."""
     n = len(frames[0])
     fm = FrameModel(p, n)
     fm.observe(frames[0])
     match_and_blend, prefix = bgsub.frame_model._match_and_blend, bgsub.frame_model._prefix
-    starts, widths = [], []
+    chunks, widths = [], []
 
-    def spy(mu, *args):
+    def spy(mu, var, z, hit, *args):
+        gain = match_and_blend(mu, var, z, hit, *args)
+        # Where every pixel matched, the blend runs on scalar rates and
+        # the weight gain is the scalar alpha.
+        every = bool(np.all(hit))
+        assert (np.ndim(gain) == 0) == every
         # Slot 0 is matched and blended on slices of the model's own mean
         # planes, the later slots on gathered copies; a slice's byte offset
         # over the pixel stride is its first pixel.
         if np.may_share_memory(mu, fm.mean_planes):
             offset = mu.ctypes.data - fm.mean_planes.ctypes.data
-            starts.append(offset // fm.mean_planes.strides[2])
-        match_and_blend(mu, *args)
+            chunks.append((offset // fm.mean_planes.strides[2], every))
+        return gain
 
     def prefix_spy(w, *args):
         widths.append(w.shape[1])
@@ -232,13 +238,16 @@ def _chunk_paths(monkeypatch, p, frames):
     bounds = [i * n // n_chunks for i in range(n_chunks + 1)]
     runs = []
     for z in frames[1:]:
-        starts.clear()
+        chunks.clear()
         widths.clear()
         miss = _first_match(fm, z) != 0
         few = [a for a, b in zip(bounds, bounds[1:]) if miss[a:b].mean() <= FEW_MISSES]
+        matched = [a for a, b in zip(bounds, bounds[1:]) if not miss[a:b].any()]
         fm.observe(z)
+        assert [a for a, every in chunks if every] == matched
         share = np.count_nonzero(fm.live_count > 1) / n
-        runs.append((list(starts), few, miss.mean() <= FEW_MISSES, share, widths[0]))
+        starts = [a for a, _ in chunks]
+        runs.append((starts, few, matched, miss.mean() <= FEW_MISSES, share, widths[0]))
     return runs
 
 
@@ -255,16 +264,20 @@ def test_equivalence_chunks_in_place_and_gathered(monkeypatch, k, rho_mode):
     frames = _patchy_stream(np.random.default_rng(51), 200, 60)
     _check_against_oracle(p, frames, exact=rho_mode == FIXED_ALPHA)
     runs = _chunk_paths(monkeypatch, p, frames)
-    assert all(starts == [0, 40, 80, 120, 160] for starts, _, _, _, _ in runs)
-    mixed = [few_frame for _, few, few_frame, _, _ in runs if 0 < len(few) < 5]
+    assert all(starts == [0, 40, 80, 120, 160] for starts, _, _, _, _, _ in runs)
+    mixed = [few_frame for _, few, _, few_frame, _, _ in runs if 0 < len(few) < 5]
     assert mixed.count(True) >= 20 and mixed.count(False) >= 5
+    # On most frames, chunks where every pixel matched slot 0, which blend
+    # on scalar rates, run beside chunks with misses, which blend masked.
+    both = [matched for _, _, matched, _, _, _ in runs if 0 < len(matched) < 5]
+    assert len(both) >= 50
     # The prefix covers just the multi-slot pixels while they are few
     # enough, and every pixel after that.
     n = len(frames[0])
-    for _, _, _, share, width in runs:
+    for _, _, _, _, share, width in runs:
         assert width == (round(share * n) if share <= MULTI_SLOT_FRACTION else n)
     if k > 1:
-        multi_only = [share <= MULTI_SLOT_FRACTION for _, _, _, share, _ in runs]
+        multi_only = [share <= MULTI_SLOT_FRACTION for _, _, _, _, share, _ in runs]
         assert multi_only[:8] == [True] * 8 and not any(multi_only[12:])
 
 

@@ -67,6 +67,19 @@ def test_decode_ppm_truncated_header():
 
 
 @pytest.mark.parametrize(
+    "decode, magic", [(decode_ppm, b"P6"), (decode_pgm, b"P5"), (decode_frame, b"P6")]
+)
+@pytest.mark.parametrize("field", range(3))
+def test_decode_refuses_a_token_too_long_to_convert(decode, magic, field):
+    # 5000 digits are past Python's default limit on an integer string
+    # (4300), whose ValueError must come out as MalformedHeader.
+    fields = [b"1", b"1", b"255"]
+    fields[field] = b"9" * 5000
+    with pytest.raises(MalformedHeader, match="header token of 5000 digits is too long"):
+        decode(b" ".join([magic, *fields]) + b"\n" + bytes(3))
+
+
+@pytest.mark.parametrize(
     "decode, data",
     [
         (decode_ppm, b"P6\n1 1\n255"),
