@@ -16,6 +16,15 @@ steps, which the tests hold it to. In the pdf-scaled rho mode the state
 can differ from such a loop in the last bits, since numpy's power and
 exp need not round as the loop's do.
 
+A match blends from the difference its test computed. With diff = z - mu
+and keep = 1 - rho, the paper's mu' = (1 - rho) mu + rho z is
+mu + rho diff, and since z - mu' = keep diff in exact arithmetic, its
+var' = (1 - rho) var + rho |z - mu'|^2 is var keep + |diff|^2 (rho keep)
+keep. So each tested slot takes one subtraction and one squared distance,
+shared by the test and the blend, and no rho z plane. The rearranged form
+rounds differently from the literal one, so the state differs from it in
+the last bits; the tests walk the two side by side.
+
 The means are stored as channel planes, one (3, k, n) array, so that
 every step on them runs long unit-stride loops: each channel of each slot
 is one contiguous row of n values. observe() converts the samples to
@@ -40,11 +49,12 @@ with the unmasked rates: rho is the scalar alpha in fixed-alpha mode and
 the density rho in pdf mode, the variance floor is the scalar var_min,
 and the weight gain it returns is the scalar alpha. Otherwise it blends
 every pixel it tests with a per-pixel rho that is zero where the slot
-did not match: for finite samples, such as pixel values, mu * 1.0 + 0.0
-* z and var * 1.0 + 0.0 leave those pixels exactly as they were. The
-two give the same state bit for bit where every pixel matched, since
-True * alpha == alpha, rho * 1.0 == rho, 1.0 * var_min == var_min and z
-* alpha == alpha * z. The masked variance floor is plain arithmetic as
+did not match: for finite samples, such as pixel values, mu + 0.0 * diff
+and var * 1.0 + |diff|^2 * 0.0 leave those pixels exactly as they were.
+The two give the same state bit for bit where every pixel matched, since
+True * alpha == alpha, the masked factor (rho * keep) * keep is then the
+scalar path's (alpha * keep) * keep, computed in the same order, and
+1.0 * var_min == var_min. The masked variance floor is plain arithmetic as
 well, not a masked ufunc, which runs about ten times slower on a noisy
 mask: a miss is floored at 0.0, which keeps its variance, since
 variances are always positive (even a fresh var_init below var_min). The
@@ -375,12 +385,15 @@ class _Scratch:
     allocated without it: at k = 3, 147 bytes a pixel (index 8, block 24,
     the two (3, n) rows 48, float 32, index 32, mask 3). The rows hold, as
     float planes, the samples of a slot-0 chunk or of the pixels a later
-    slot tests, and that slot's gathered means. m0 holds the pixels that
-    no slot has matched yet."""
+    slot tests, and that slot's gathered means. The block holds a tested
+    slot's z - mu planes, which its blend scales in place to rho (z - mu);
+    no rho z plane is formed. m0 holds the pixels that no slot has matched
+    yet."""
 
     def __init__(self, k: int, n: int):
         self.index = np.arange(n)
-        # The z - mu and rho * z planes of _match_and_blend, then the
+        # The z - mu planes of _match_and_blend, which become rho (z - mu),
+        # the per-pixel rate factor in the first of them, then the
         # gathered weights of the slot choice and the renormalization, and
         # the ranks: (k, n) of every pixel, or (k, m) of the m <= n/2
         # multi-slot pixels followed by their weights.
@@ -459,26 +472,32 @@ def _match_and_blend(
     mu and (m,) variances var, blend the matches in place, and return the
     slot's weight gain: alpha where it matched, 0.0 elsewhere.
 
-    hit becomes the match mask: |z - mu|^2 < d^2 var. A match pulls mu and
-    var toward z by rho: mu = (1 - rho) mu + rho z, then var = (1 - rho) var
-    + rho |z - mu|^2 against the new mean, floored at var_min. rho is alpha,
-    or in pdf mode alpha times the slot's density at z, clipped to [0, 1].
-    Where every pixel matched, rho, the floor and the gain are the unmasked
-    values, scalars in fixed-alpha mode; otherwise a miss gets rho 0.0 and
-    floor 0.0, which keep its mean and variance (module docstring). diff is
-    a work buffer of z's shape, d2, fa and fb of var's; z is only read.
+    hit becomes the match mask: d2 < d^2 var, with diff = z - mu and d2 =
+    |diff|^2 summed in channel order. A match pulls mu and var toward z by
+    rho, from the same diff and d2: mu + rho diff, then var keep + d2 (rho
+    keep) keep with keep = 1 - rho, floored at var_min. That is the paper's
+    (1 - rho) mu + rho z, then (1 - rho) var + rho |z - mu|^2 against the
+    new mean, since z - mu then equals keep diff (module docstring). rho is
+    alpha, or in pdf mode alpha times the slot's density at z, clipped to
+    [0, 1]. Where every pixel matched, rho, the floor and the gain are the
+    unmasked values, scalars in fixed-alpha mode; otherwise a miss gets rho
+    0.0 and floor 0.0, which keep its mean and variance (module docstring).
+    diff is a work buffer of z's shape, d2, fa and fb of var's; z is only
+    read.
     """
-    _sq_norm(np.subtract(z, mu, out=diff), d2)
+    np.subtract(z, mu, out=diff)
+    np.multiply(diff[0], diff[0], out=d2)
+    for row in diff[1:]:
+        d2 += np.multiply(row, row, out=fb)
     np.less(d2, np.multiply(p.d * p.d, var, out=fa), out=hit)
     every = np.count_nonzero(hit) == hit.size
     if p.rho_mode == PDF_FAITHFUL:
-        # alpha * GAUSS_NORM_3D * var**-1.5 * exp(-d2 / (2 var)) in this
-        # order, clipped, then zeroed at the misses, if any.
+        # alpha * GAUSS_NORM_3D * var**-1.5 * exp(-(d2 / (2 var))) in this
+        # order, clipped, then zeroed at the misses, if any. d2 is kept.
         rho = np.power(var, -1.5, out=fa)
         rho *= GAUSS_NORM_3D
-        np.negative(d2, out=d2)
-        d2 /= np.multiply(2.0, var, out=fb)
-        rho *= np.exp(d2, out=fb)
+        expo = np.divide(d2, np.multiply(2.0, var, out=fb), out=fb)
+        rho *= np.exp(np.negative(expo, out=expo), out=expo)
         rho *= p.alpha
         np.clip(rho, 0.0, 1.0, out=rho)
         if not every:
@@ -489,10 +508,13 @@ def _match_and_blend(
     else:
         rho = np.multiply(hit, p.alpha, out=fa)
         keep = np.subtract(1.0, rho, out=fb)
-    mu *= keep
-    mu += np.multiply(rho, z, out=diff)
-    _sq_norm(np.subtract(z, mu, out=diff), d2)
-    d2 *= rho
+    diff *= rho
+    mu += diff
+    if isinstance(rho, float):
+        d2 *= rho * keep * keep
+    else:
+        # (rho * keep) * keep, in diff[0], which mu no longer needs.
+        d2 *= np.multiply(np.multiply(rho, keep, out=diff[0]), keep, out=diff[0])
     var *= keep
     var += d2
     if every:
@@ -503,11 +525,3 @@ def _match_and_blend(
         return np.multiply(hit, p.alpha, out=fb)
     # rho is hit * alpha.
     return rho
-
-
-def _sq_norm(diff: np.ndarray, out: np.ndarray) -> None:
-    """out = |diff|^2 per pixel of the (3, m) planes diff, summed in channel
-    order; squares diff in place."""
-    diff *= diff
-    np.add(diff[0], diff[1], out=out)
-    out += diff[2]

@@ -21,8 +21,33 @@ def oracle_init(z, params):
     return [{"w": 1.0, "m": [z[0], z[1], z[2]], "v": params["var_init"]}]
 
 
-def oracle_step(comps, z, params):
+def blend_rearranged(m, v, z, rho):
+    """A matched component's new (mean, variance) before the floor, from the
+    match test's difference d = z - m: m + rho d, then
+    v (1 - rho) + |d|^2 (rho (1 - rho)) (1 - rho). Since
+    z - (m + rho d) = (1 - rho) d, this is blend_literal in another order."""
+    keep = 1.0 - rho
+    dx = z[0] - m[0]
+    dy = z[1] - m[1]
+    dz = z[2] - m[2]
+    dd = dx * dx + dy * dy + dz * dz
+    m2 = [m[0] + dx * rho, m[1] + dy * rho, m[2] + dz * rho]
+    return m2, v * keep + dd * ((rho * keep) * keep)
+
+
+def blend_literal(m, v, z, rho):
+    """The paper's recurrence as written: m' = (1 - rho) m + rho z, then
+    v' = (1 - rho) v + rho |z - m'|^2 against the new mean."""
+    m2 = [(1.0 - rho) * m[i] + rho * z[i] for i in range(3)]
+    dx = z[0] - m2[0]
+    dy = z[1] - m2[1]
+    dz = z[2] - m2[2]
+    return m2, (1.0 - rho) * v + rho * (dx * dx + dy * dy + dz * dz)
+
+
+def oracle_step(comps, z, params, blend=blend_rearranged):
     """One observation against a component list of {"w", "m", "v"} dicts.
+    blend gives a matched component's new mean and variance.
 
     Returns (comps, label, pos, b); label 0 background / 255 foreground.
     """
@@ -66,11 +91,7 @@ def oracle_step(comps, z, params):
             rho = 0.0 if rho < 0.0 else (1.0 if rho > 1.0 else rho)
         else:
             rho = alpha
-        m2 = [(1.0 - rho) * target["m"][i] + rho * z[i] for i in range(3)]
-        dx = z[0] - m2[0]
-        dy = z[1] - m2[1]
-        dz = z[2] - m2[2]
-        v2 = (1.0 - rho) * target["v"] + rho * (dx * dx + dy * dy + dz * dz)
+        m2, v2 = blend(target["m"], target["v"], z, rho)
         if v2 < params["var_min"]:
             v2 = params["var_min"]
         target["m"] = m2

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import oracle_init, oracle_params, oracle_step
+from oracles import blend_literal, oracle_init, oracle_params, oracle_step
 from pixel_states import load_states, oracle_params_of, pixel_state, step
 
 from bgsub.frame_model import FrameModel
@@ -356,3 +356,30 @@ def test_oracle_agreement_random_walk(rho_mode):
             ranks = [c["w"] / math.sqrt(c["v"]) for c in mine]
             assert ranks == sorted(ranks, reverse=True)
             assert len(mine) <= p.k
+
+
+@pytest.mark.parametrize("rho_mode", [FIXED_ALPHA, PDF_FAITHFUL])
+def test_rearranged_blend_follows_the_literal_recurrence(rho_mode):
+    # The oracle blends a match as m + rho (z - m) and
+    # v (1 - rho) + |z - m|^2 (rho (1 - rho)) (1 - rho), which the engine
+    # shares; the paper writes (1 - rho) m + rho z and
+    # (1 - rho) v + rho |z - m'|^2. Walk both over a drifting level with
+    # noise and jumps: same decisions on every step, state within 1e-12.
+    op = oracle_params(alpha=0.04, rho_mode=rho_mode)
+    rng = np.random.default_rng(21 if rho_mode == FIXED_ALPHA else 22)
+    level = rng.uniform(20.0, 235.0, 3)
+    z = [float(x) for x in level]
+    fast, literal = oracle_init(z, op), oracle_init(z, op)
+    worst = 0.0
+    for _ in range(12000):
+        if rng.random() < 0.01:
+            level = rng.uniform(20.0, 235.0, 3)
+        level = np.clip(level + rng.normal(0.0, 0.3, 3), 20.0, 235.0)
+        z = [float(x) for x in level + rng.normal(0.0, 3.0, 3)]
+        fast, *got = oracle_step(fast, z, op)
+        literal, *want = oracle_step(literal, z, op, blend=blend_literal)
+        assert got == want
+        for c, ref in zip(fast, literal):
+            for a, b in zip([c["w"], c["v"], *c["m"]], [ref["w"], ref["v"], *ref["m"]]):
+                worst = max(worst, abs(a - b) / abs(b))
+    assert worst < 1e-12
