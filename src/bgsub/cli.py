@@ -6,15 +6,14 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .bench import benchmark
-from .config import EmitFlags, RunConfig, load_config
+from .config import EmitFlags, RunConfig, load_config, load_json
 from .errors import BgsubError, LengthMismatch
 from .metrics import score
 from .netpbm import decode_pgm
-from .pipeline import run_pipeline
-from .scenes import scene_from_dict, standard_scene, write_scene
+from .pipeline import list_files, run_pipeline
+from .scenes import SceneSpec, standard_scene, write_scene
 
 _EMIT_CHOICES = ("masks", "overlays", "events", "stats")
 
@@ -48,8 +47,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _load_scene(path: str | None):
     if path is None:
         return standard_scene()
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return scene_from_dict(data)
+    return load_json(SceneSpec, path, "scene")
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -60,13 +58,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _read_mask_dir(dir_path: str, pattern: str):
-    d = Path(dir_path)
-    if not d.is_dir():
-        raise FileNotFoundError(f"directory {dir_path} does not exist")
-    paths = sorted(d.glob(pattern))
-    if not paths:
-        raise FileNotFoundError(f"no {pattern} files in {dir_path}")
-    return [decode_pgm(p.read_bytes()) for p in paths]
+    return [decode_pgm(p.read_bytes()) for p in list_files(dir_path, pattern)]
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
@@ -129,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (BgsubError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (BgsubError, ValueError, OSError) as exc:
         print(f"bgsub: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,8 @@ never taken for an `int`, an `int` is converted where a `float` is
 declared, `null` is accepted only for `X | None` fields, fixed-length
 tuples (colors, rects) must be lists of exactly that length, and
 strings must be non-empty. Every error names the full key path, such as
-`config.model.alpha` or `scene.actors[0].waypoints[1].x`.
+`config.model.alpha` or `scene.actors[0].waypoints[1].x`. `load_json`
+reads either kind of file, and names the file when it is not valid JSON.
 """
 
 from __future__ import annotations
@@ -128,11 +129,18 @@ def config_from_dict(data: dict) -> RunConfig:
     return from_json(RunConfig, data, "config")
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Read a JSON config file into a validated RunConfig."""
+def load_json(cls, path: str | Path, where: str):
+    """Read the JSON file at path into dataclass cls; a file that does not
+    parse is reported with its path, a bad value with its key path under
+    where."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path}: {exc}") from None
-    return config_from_dict(data)
+        raise ValueError(f"{where} file {path}: {exc}") from None
+    return from_json(cls, data, where)
+
+
+def load_config(path: str | Path) -> RunConfig:
+    """Read a JSON config file into a validated RunConfig."""
+    return load_json(RunConfig, path, "config")

@@ -61,19 +61,21 @@ variances are always positive (even a fresh var_init below var_min). The
 masked weight gain is hit * alpha, which in fixed-alpha mode is rho
 itself. Each chunk first decays its pixels' slots below kl, then runs
 the helper on its dense slot-0 rows directly, and adds the gain to the
-slot-0 weights (0.0 at a miss keeps a weight, since no weight is ever
--0.0), all while the chunk is in cache. The later slots run the same
-helper on the rows they gathered for the test, scatter the means and
-variances back, and add alpha to their matches' weights. Every such
-per-pixel slot read and write goes through flat indices (slot * n +
-pixel) into raveled views of the weights, the variances and each mean
-plane, one plane at a time, and only for the pixels concerned; unmatched
-pixels fill a fresh slot the same way and renormalize. The masked blend
-costs the same whether a pixel matched or not, so a chunk with one miss
-pays as much as one where most pixels miss. On the benchmark's seed-1
-frames at its parameters, 79% of vga640's calls take the all-matched
-blend (724 of its 931 slot-0 chunks and all 39 later-slot calls), and
-none of busy160's: its one chunk a frame always has misses.
+slot-0 weights, all while the chunk is in cache. The later slots gather
+the weights, means and variances of the pixels they test, run the same
+helper on them, add the gain to the weights and scatter all three back.
+So on every slot a match moves its weight, mean and variance in one
+step, and a miss adds 0.0, which keeps its weight, since no weight is
+ever -0.0. Every such per-pixel slot read and write goes through flat
+indices (slot * n + pixel) into raveled views of the weights, the
+variances and each mean plane, one plane at a time, and only for the
+pixels concerned; unmatched pixels fill a fresh slot the same way and
+renormalize. The masked blend costs the same whether a pixel matched or
+not, so a chunk with one miss pays as much as one where most pixels
+miss. On the benchmark's seed-1 frames at its parameters, 79% of
+vga640's calls take the all-matched blend (724 of its 931 slot-0 chunks
+and all 39 later-slot calls), and none of busy160's: its one chunk a
+frame always has misses.
 
 The per-pixel rank order is restored by a network of adjacent
 compare-exchange steps that swap only on a strictly higher rank, which
@@ -113,15 +115,15 @@ block, two (3, n) plane buffers, and n-sized float, index and mask
 buffers, allocated on the first observe() after the seeding one and
 reused for every frame after that, through out= arguments and [:m]
 views; the chunked slot-0 pass reuses their leading BLEND_CHUNK columns,
-its chunk's sample and difference planes among them. Only the gathered
-sample rows are fresh, in z's own dtype (3 bytes a gathered pixel of
-uint8 rows). The reason is memory, not arithmetic: fresh temporaries for
-every frame (about 8.8 times 24 bytes a pixel) would be handed back to
-the system by the C allocator between frames, and every frame would
-fault in fresh zeroed pages again (about 7,400 minor faults a frame at
-640x480). The
-buffers are per model, never shared, since band models run on threads at
-once. Construction and the seeding frame do not touch them. The arrays
+its chunk's sample planes among them, in which the helper forms the
+difference planes. Only the gathered sample rows are fresh, in z's own
+dtype (3 bytes a gathered pixel of uint8 rows). The reason is memory,
+not arithmetic: fresh temporaries for every frame (about 8.8 times 24
+bytes a pixel) would be handed back to the system by the C allocator
+between frames, and every frame would fault in fresh zeroed pages again
+(about 7,400 minor faults a frame at 640x480). The buffers are per
+model, never shared, since band models run on threads at once.
+Construction and the seeding frame do not touch them. The arrays
 observe() returns are fresh and belong to the caller.
 """
 
@@ -233,22 +235,22 @@ class FrameModel:
             cut = slice(i * n // n_chunks, (i + 1) * n // n_chunks)
             c = cut.stop - cut.start
             w[:kl, cut] *= 1.0 - p.alpha
-            # The chunk's samples as float planes, converted while in cache.
+            # The chunk's samples as float planes, converted while in cache;
+            # the blend forms z - mu in them.
             z_c = s.rows[0, :, :c]
             np.copyto(z_c, z[cut].T)
             hit_c = unmatched[cut]
             mu_c, var_c = self.mean_planes[:, 0, cut], var[0, cut]
-            diff = s.block[: 3 * c].reshape(3, c)
-            gain = _match_and_blend(mu_c, var_c, z_c, hit_c, p, diff, s.f3[:c], s.f0[:c], s.f1[:c])
+            gain = _match_and_blend(mu_c, var_c, z_c, hit_c, p, s.f3[:c], s.f0[:c], s.f1[:c])
             w[0, cut] += gain
         n_miss = np.count_nonzero(np.logical_not(unmatched, out=unmatched))
 
         # jm is the first matching slot (unused where nothing matched). It
         # becomes the returned pos. Slot j is tested only for pixels that
         # missed slots 0..j-1 and have more than j live slots, on gathered
-        # rows, which are blended as slot 0 is, then scattered back; its
-        # matches gain alpha. rest moves between two index buffers, since a
-        # compaction cannot write over its own input.
+        # rows: their weights, means and variances are updated as slot 0's
+        # are, then scattered back. rest moves between two index buffers,
+        # since a compaction cannot write over its own input.
         jm = np.zeros(n, dtype=np.uint8)
         held, spare = s.i0, s.i1
         rest = np.compress(unmatched, s.index, out=held[:n_miss])
@@ -260,22 +262,20 @@ class FrameModel:
             held, spare = spare, held
             rest = np.compress(live, rest, out=held[:r])
             f = np.add(rest, j * n, out=s.i2[:r])
+            w_j = _take(w_flat, f, s.block)
             mu_j = _take(mu_flat, f, s.rows[1], axis=1)
             var_j = _take(var_flat, f, s.f2)
             hit = s.m1[:r]
             z_j = _take_rows(z, rest, s.rows[0])
-            diff = s.block[: 3 * r].reshape(3, r)
-            _match_and_blend(mu_j, var_j, z_j, hit, p, diff, s.f3[:r], s.f0[:r], s.f1[:r])
+            gain = _match_and_blend(mu_j, var_j, z_j, hit, p, s.f3[:r], s.f0[:r], s.f1[:r])
+            w_j += gain
+            w_flat[f] = w_j
             _put_planes(mu_flat, f, mu_j)
             var_flat[f] = var_j
             n_hit = np.count_nonzero(hit)
             found = np.compress(hit, rest, out=s.i3[:n_hit])
             unmatched[found] = False
             jm[found] = j
-            f_hit = np.add(found, j * n, out=s.i2[:n_hit])
-            w_hit = _take(w_flat, f_hit, s.f0)
-            w_hit += p.alpha
-            w_flat[f_hit] = w_hit
             held, spare = spare, held
             rest = np.compress(np.logical_not(hit, out=hit), rest, out=held[: r - n_hit])
 
@@ -382,22 +382,19 @@ class _Scratch:
     """Work buffers of one FrameModel's observe(), each sized for all n
     pixels; a step over m pixels uses [:m] views. Steps that do not overlap
     share a buffer, so the set is smaller than the temporaries a frame
-    allocated without it: at k = 3, 147 bytes a pixel (index 8, block 24,
-    the two (3, n) rows 48, float 32, index 32, mask 3). The rows hold, as
-    float planes, the samples of a slot-0 chunk or of the pixels a later
-    slot tests, and that slot's gathered means. The block holds a tested
-    slot's z - mu planes, which its blend scales in place to rho (z - mu);
-    no rho z plane is formed. m0 holds the pixels that no slot has matched
-    yet."""
+    allocated without it: 123 + 8k bytes a pixel, 147 at k = 3 (index 8,
+    block 8k, the two (3, n) rows 48, float 32, index 32, mask 3). The rows
+    hold, as float planes, the samples of a slot-0 chunk or of the pixels a
+    later slot tests, which its blend turns in place into z - mu and then
+    rho (z - mu), and that slot's gathered means. m0 holds the pixels that
+    no slot has matched yet."""
 
     def __init__(self, k: int, n: int):
         self.index = np.arange(n)
-        # The z - mu planes of _match_and_blend, which become rho (z - mu),
-        # the per-pixel rate factor in the first of them, then the
-        # gathered weights of the slot choice and the renormalization, and
-        # the ranks: (k, n) of every pixel, or (k, m) of the m <= n/2
-        # multi-slot pixels followed by their weights.
-        self.block = np.empty(max(k, 3) * n)
+        # The gathered weights of a later slot, of the slot choice and of
+        # the renormalization, and the ranks: (k, n) of every pixel, or
+        # (k, m) of the m <= n/2 multi-slot pixels followed by their weights.
+        self.block = np.empty(k * n)
         self.rows = np.empty((2, 3, n))
         self.f0, self.f1, self.f2, self.f3 = np.empty((4, n))
         self.i0, self.i1, self.i2, self.i3 = np.empty((4, n), dtype=np.int64)
@@ -463,7 +460,6 @@ def _match_and_blend(
     z: np.ndarray,
     hit: np.ndarray,
     p: ModelParams,
-    diff: np.ndarray,
     d2: np.ndarray,
     fa: np.ndarray,
     fb: np.ndarray,
@@ -482,10 +478,10 @@ def _match_and_blend(
     [0, 1]. Where every pixel matched, rho, the floor and the gain are the
     unmasked values, scalars in fixed-alpha mode; otherwise a miss gets rho
     0.0 and floor 0.0, which keep its mean and variance (module docstring).
-    diff is a work buffer of z's shape, d2, fa and fb of var's; z is only
-    read.
+    z is a work buffer as well: diff is formed in it, over the samples. d2,
+    fa and fb are work buffers of var's shape.
     """
-    np.subtract(z, mu, out=diff)
+    diff = np.subtract(z, mu, out=z)
     np.multiply(diff[0], diff[0], out=d2)
     for row in diff[1:]:
         d2 += np.multiply(row, row, out=fb)

@@ -169,14 +169,21 @@ def _frames(config: RunConfig):
             raise InputUnavailable("raw stdin input needs width and height")
         frames = _raw_frames(sys.stdin.buffer, config.width, config.height)
     else:
-        in_dir = Path(config.input)
-        if not in_dir.is_dir():
-            raise InputUnavailable(f"input directory {in_dir} does not exist")
-        paths = sorted(in_dir.glob("frame_*.ppm"))
-        if not paths:
-            raise InputUnavailable(f"no frame_*.ppm files in {in_dir}")
+        paths = list_files(config.input, "frame_*.ppm")
         frames = (decode_frame(path.read_bytes()) for path in paths)
     return itertools.islice(frames, config.max_frames)
+
+
+def list_files(dir_path: str, pattern: str) -> list[Path]:
+    """The files in directory dir_path whose names match pattern, sorted;
+    InputUnavailable if the directory is missing or nothing matches."""
+    d = Path(dir_path)
+    if not d.is_dir():
+        raise InputUnavailable(f"directory {d} does not exist")
+    paths = sorted(d.glob(pattern))
+    if not paths:
+        raise InputUnavailable(f"no {pattern} files in {d}")
+    return paths
 
 
 def _write_files(out_dir: Path, emit: EmitFlags, frame: np.ndarray, result: FrameResult) -> None:

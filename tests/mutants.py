@@ -119,6 +119,13 @@ MUTANTS = [
         "w[0, cut] += p.alpha",
         MODEL_TESTS,
     ),
+    Mutant(
+        "later-slot-gain-at-every-pixel",
+        MODEL,
+        "w_j += gain",
+        "w_j += p.alpha",
+        MODEL_TESTS,
+    ),
     # The blend from the match test's difference.
     Mutant(
         "variance-one-keep-short-scalar",

@@ -210,6 +210,27 @@ def test_malformed_json_config_exits_one(work, tmp_path):
     assert b"bgsub:" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["gen", "bench"])
+def test_malformed_scene_names_its_file(work, tmp_path, command):
+    broken = tmp_path / "broken_scene.json"
+    broken.write_text('{"width": 40,}')
+    args = ["--out", str(tmp_path / "out")] if command == "gen" else ["--reps", "1"]
+    result = _run(command, "--spec", str(broken), *args)
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert b"bgsub: scene file" in result.stderr
+    assert str(broken).encode() in result.stderr
+
+
+def test_score_missing_directory_names_it(work, tmp_path):
+    missing = tmp_path / "no_masks"
+    result = _run("score", "--pred", str(missing), "--truth", str(work["root"] / "scene"))
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert b"bgsub:" in result.stderr
+    assert str(missing).encode() in result.stderr
+
+
 def test_unknown_emit_name_exits_one(work):
     result = _run(
         "run",

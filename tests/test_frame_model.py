@@ -334,26 +334,28 @@ def test_uint8_rows_give_the_float_run(monkeypatch, k, rho_mode):
         _assert_same_run(fm, outs, want)
 
 
-def test_work_buffers_do_not_grow():
-    # The gathered sort keeps its ranks and weights in the float block, and
-    # each slot-0 chunk converts its samples into the plane buffers, so a
-    # k = 3 model's work buffers stay within 148 bytes a pixel, with no
-    # float64 copy of the frame. Its state holds 121 bytes a pixel: 120 of
-    # float64 weights, means and variances and a one-byte live count. The
-    # labels, positions and prefixes it returns are one byte a pixel as
-    # well, on the seeding frame, the multi-slot-only path and the
-    # every-pixel one.
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_work_buffers_do_not_grow(k):
+    # The gathered sort keeps its ranks and weights in the float block, each
+    # slot-0 chunk converts its samples into the plane buffers, and the
+    # blend forms z - mu in those samples, so the work buffers stay within
+    # 123 + 8k bytes a pixel (index 8, block 8k, rows 48, float 32, index
+    # 32, masks 3), with no float64 copy of the frame. The state holds
+    # 40k + 1 bytes a pixel: float64 weights, means and variances and a
+    # one-byte live count. The labels, positions and prefixes it returns
+    # are one byte a pixel as well, on the seeding frame, the
+    # multi-slot-only path and the every-pixel one.
     n = 1000
-    total = sum(a.nbytes for a in vars(_Scratch(3, n)).values())
-    assert total <= 148 * n
-    fm = FrameModel(ModelParams(k=3), n)
+    total = sum(a.nbytes for a in vars(_Scratch(k, n)).values())
+    assert total <= (123 + 8 * k) * n
+    fm = FrameModel(ModelParams(k=k), n)
     frames = [np.full((n, 3), 100.0)] * 2 + [np.full((n, 3), 200.0)]
     for z in frames:
         labels, pos, b = fm.observe(z)
         assert labels.dtype == pos.dtype == b.dtype == np.uint8
-    assert np.all(fm.live_count == 2)
+    assert np.all(fm.live_count == min(k, 2))
     state = (fm.weights, fm.mean_planes, fm.variances, fm.live_count)
-    assert sum(a.nbytes for a in state) == 121 * n
+    assert sum(a.nbytes for a in state) == (40 * k + 1) * n
 
 
 @pytest.mark.parametrize("rho_mode", [FIXED_ALPHA, PDF_FAITHFUL])
